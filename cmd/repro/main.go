@@ -555,8 +555,7 @@ func pipelineTrace() string {
 	}
 	vec.MustCommit()
 	trace := &core.PipelineTrace{}
-	ccfg := cluster.Config{GPUMemBytes: 2*rows*16 + (64 << 20)}
-	ccfg.Core.Trace = trace
+	ccfg := cluster.Config{GPUMemBytes: 2*rows*16 + (64 << 20), Tracers: []obs.Tracer{trace}}
 	cl := cluster.New(ccfg)
 	err = cl.Run(func(n *cluster.Node) {
 		r := n.Rank

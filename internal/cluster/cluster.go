@@ -64,14 +64,15 @@ type Config struct {
 	// the plain MPI path in isolation.
 	NoGPU bool
 	// GPUDirect enables GPUDirect RDMA end to end: the fabric accepts
-	// device-memory registration and the transport skips host staging.
-	// Not available on the paper's 2011 testbed; see internal/core.
+	// device-memory registration (IBModel.AllowDeviceRegistration), and
+	// the transport, which follows the fabric, skips host staging. Not
+	// available on the paper's 2011 testbed; see internal/core.
 	GPUDirect bool
 	// Tracers receive task records from every instrumented layer (CUDA
 	// streams, IB links, vbuf pools, MPI protocol phases, pipeline stages).
 	// Empty means tracing is off and the hot paths take their
-	// zero-allocation fast path. Core.Trace, when set, is appended
-	// automatically so the two options compose.
+	// zero-allocation fast path. A core.PipelineTrace listed here renders
+	// the per-chunk stage table (the paper's Figure 3).
 	Tracers []obs.Tracer
 	// TraceEngine additionally records every simulation process's lifetime
 	// and counts fired events via an obs.EngineTracer hook. Verbose; only
@@ -125,7 +126,7 @@ type Cluster struct {
 	Transport *core.Transport
 	Nodes     []*Node
 	// Obs is the tracing hub all layers publish to; nil when Config.Tracers
-	// is empty (and Core.Trace unset), i.e. when tracing is off.
+	// is empty, i.e. when tracing is off.
 	Obs *obs.Hub
 }
 
@@ -142,18 +143,13 @@ func New(cfg Config) *Cluster {
 	}
 	if cfg.GPUDirect {
 		cfg.IBModel.AllowDeviceRegistration = true
-		cfg.Core.GPUDirect = true
 	}
 	fabric := ib.NewFabric(e, cfg.IBModel)
 	world := mpi.NewWorld(e, cfg.MPI)
 	cl := &Cluster{Engine: e, Fabric: fabric, World: world}
 
-	tracers := append([]obs.Tracer(nil), cfg.Tracers...)
-	if cfg.Core.Trace != nil {
-		tracers = append(tracers, cfg.Core.Trace)
-	}
-	if len(tracers) > 0 {
-		cl.Obs = obs.NewHub(e, tracers...)
+	if len(cfg.Tracers) > 0 {
+		cl.Obs = obs.NewHub(e, cfg.Tracers...)
 		fabric.SetHub(cl.Obs)
 		world.SetHub(cl.Obs)
 		if cfg.TraceEngine {
@@ -163,7 +159,6 @@ func New(cfg Config) *Cluster {
 
 	if !cfg.NoGPU {
 		cl.Transport = core.New(cfg.Core)
-		cl.Transport.SetHub(cl.Obs)
 		world.SetGPUTransport(cl.Transport)
 	}
 

@@ -109,8 +109,9 @@ func TestTraceCoversAllLayers(t *testing.T) {
 	}
 }
 
-// TestPipelineTraceViaTracers checks the PipelineTrace adapter works when
-// attached through Config.Tracers (not just Config.Core.Trace).
+// TestPipelineTraceViaTracers checks the PipelineTrace adapter records
+// every stage when attached through Config.Tracers, its only attachment
+// point.
 func TestPipelineTraceViaTracers(t *testing.T) {
 	pt := &core.PipelineTrace{}
 	tracedVectorSend(t, pt)

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -16,14 +17,15 @@ import (
 // transfers across all four PackModes on each side independently — every
 // sender/receiver engine mix, including mixes where one side gathers on
 // the NIC's SGE unit and the other unpacks with the copy engine — over
-// random shapes, counts, rail counts and chunk boundaries, and checks:
+// random shapes, counts, rail counts and chunk boundaries, crossed with the
+// GPUDirect and HostStagedPack ablations, and checks:
 //
 //   - byte-exact delivery into the strided receive buffer under every mix;
 //   - every vbuf returned to its pool at the end of the run;
 //   - no leaked device allocations (tbufs freed on all paths).
 func TestPackModeTransferProperties(t *testing.T) {
 	modes := []core.PackMode{core.PackModeAuto, core.PackModeMemcpy2D, core.PackModeKernel, core.PackModeNic}
-	prop := func(packMode, unpackMode core.PackMode, blockSize, sizeKB, elem, count, rails int) bool {
+	prop := func(packMode, unpackMode core.PackMode, blockSize, sizeKB, elem, count, rails int, gdr, hostStaged bool) bool {
 		rows := max(1, sizeKB<<10/elem/count)
 		pitch := 2 * elem
 		size := rows * elem * count
@@ -34,9 +36,12 @@ func TestPackModeTransferProperties(t *testing.T) {
 		}
 		vec.MustCommit()
 
-		cfg := Config{MPI: mpi.Config{BlockSize: blockSize}, Rails: rails}
+		cfg := Config{MPI: mpi.Config{BlockSize: blockSize}, Rails: rails, GPUDirect: gdr}
 		cfg.Core.PackMode = packMode
 		cfg.Core.UnpackMode = unpackMode
+		cfg.Core.HostStagedPack = hostStaged
+		what := fmt.Sprintf("pack=%v unpack=%v gdr=%v hoststaged=%v block=%d size=%d count=%d",
+			packMode, unpackMode, gdr, hostStaged, blockSize, size, count)
 		cl := New(cfg)
 		pattern := func(i int) byte { return byte(i*13 + 5) }
 		ok := true
@@ -57,8 +62,7 @@ func TestPackModeTransferProperties(t *testing.T) {
 					b := buf.Add(s.Off).Bytes(s.Len)
 					for i := range b {
 						if b[i] != pattern(s.Off+i) {
-							t.Logf("pack=%v unpack=%v block=%d size=%d count=%d: corrupt at byte %d",
-								packMode, unpackMode, blockSize, size, count, s.Off+i)
+							t.Logf("%s: corrupt at byte %d", what, s.Off+i)
 							ok = false
 							return
 						}
@@ -67,17 +71,16 @@ func TestPackModeTransferProperties(t *testing.T) {
 			}
 		})
 		if runErr != nil {
-			t.Logf("pack=%v unpack=%v block=%d size=%d: %v", packMode, unpackMode, blockSize, size, runErr)
+			t.Logf("%s: %v", what, runErr)
 			return false
 		}
 		if err := cl.CheckDeviceLeaks(); err != nil {
-			t.Logf("pack=%v unpack=%v block=%d size=%d: %v", packMode, unpackMode, blockSize, size, err)
+			t.Logf("%s: %v", what, err)
 			return false
 		}
 		for i, n := range cl.Nodes {
 			if n.Pool.Free() != n.Pool.Count() || n.RecvPool.Free() != n.RecvPool.Count() {
-				t.Logf("pack=%v unpack=%v block=%d size=%d: node %d vbufs leaked (tx %d/%d, rx %d/%d)",
-					packMode, unpackMode, blockSize, size, i,
+				t.Logf("%s: node %d vbufs leaked (tx %d/%d, rx %d/%d)", what, i,
 					n.Pool.Free(), n.Pool.Count(), n.RecvPool.Free(), n.RecvPool.Count())
 				return false
 			}
@@ -96,6 +99,8 @@ func TestPackModeTransferProperties(t *testing.T) {
 			args[4] = reflect.ValueOf(4 << r.Intn(7))          // element width 4..256
 			args[5] = reflect.ValueOf(1 + r.Intn(3))           // datatype count 1..3
 			args[6] = reflect.ValueOf(1 + r.Intn(2))           // rails 1..2
+			args[7] = reflect.ValueOf(r.Intn(2) == 1)          // GPUDirect
+			args[8] = reflect.ValueOf(r.Intn(2) == 1)          // HostStagedPack
 		},
 	}
 	if testing.Short() {
@@ -105,16 +110,20 @@ func TestPackModeTransferProperties(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The sixteen mode pairs are also covered deterministically at one
-	// fixed geometry that exercises eager (small) and rendezvous (large)
-	// sizes on both rail counts, so a regression in a rare pair cannot
-	// hide behind the random draw.
+	// The sixteen mode pairs are also covered deterministically under each
+	// of the four variants (five-stage, GPUDirect, host-staged, both) at
+	// one fixed geometry that exercises eager (small) and rendezvous
+	// (large) sizes on both rail counts, so a regression in a rare pair
+	// cannot hide behind the random draw.
 	for _, pm := range modes {
 		for _, um := range modes {
-			for _, sizeKB := range []int{2, 192} {
-				for rails := 1; rails <= 2; rails++ {
-					if !prop(pm, um, 64<<10, sizeKB, 4, 1, rails) {
-						t.Fatalf("pack=%v unpack=%v sizeKB=%d rails=%d failed", pm, um, sizeKB, rails)
+			for _, v := range [][2]bool{{false, false}, {true, false}, {false, true}, {true, true}} {
+				for _, sizeKB := range []int{2, 192} {
+					for rails := 1; rails <= 2; rails++ {
+						if !prop(pm, um, 64<<10, sizeKB, 4, 1, rails, v[0], v[1]) {
+							t.Fatalf("pack=%v unpack=%v gdr=%v hoststaged=%v sizeKB=%d rails=%d failed",
+								pm, um, v[0], v[1], sizeKB, rails)
+						}
 					}
 				}
 			}

@@ -26,7 +26,9 @@
 //
 // Fully contiguous device transfers skip the pack/unpack stages and
 // pipeline directly between the user buffer and the staging vbufs — the
-// behaviour of the earlier MVAPICH2-GPU design the paper extends.
+// behaviour of the earlier MVAPICH2-GPU design the paper extends. The
+// GPUDirect and host-staged ablations and the NIC-offloaded engine are
+// the same pipeline with stages removed; see stages.
 package core
 
 import (
@@ -43,7 +45,9 @@ import (
 	"mv2sim/internal/sim"
 )
 
-// Config holds the transport tunables.
+// Config holds the transport tunables. GPUDirect RDMA is not one of them:
+// it follows the fabric (ib.Model.AllowDeviceRegistration), which
+// cluster.Config.GPUDirect switches on.
 type Config struct {
 	// PackMode selects the engine for the sender's stage-1 pack of
 	// uniform 2D types; UnpackMode selects it for the receiver's stage-5
@@ -57,26 +61,10 @@ type Config struct {
 	// HostStagedPack disables the paper's GPU offload for rendezvous
 	// transfers of uniform 2D types: data is gathered straight across
 	// PCIe with strided D2H copies ("D2H nc2c", the scheme section IV-A
-	// rejects) instead of being packed on the device first. An ablation
-	// knob; see internal/core/ablation.go.
+	// rejects) instead of being packed on the device first, and scattered
+	// with strided H2D copies on the receiver. An ablation knob; see
+	// stagesFor.
 	HostStagedPack bool
-
-	// Trace, when non-nil, records per-chunk stage completions of every
-	// rendezvous transfer routed through this transport — the executable
-	// Figure 3. Intended for single-transfer diagnostics.
-	Trace *PipelineTrace
-
-	// GPUDirect removes both host-staging stages: the HCA reads and
-	// writes registered device memory directly (GPUDirect RDMA, which the
-	// paper's 2011 testbed lacked). The fabric must allow device-memory
-	// registration (cluster.Config.GPUDirect sets both).
-	GPUDirect bool
-}
-
-// DefaultConfig returns the default transport configuration: automatic
-// pack-engine selection, ablations off.
-func DefaultConfig() Config {
-	return Config{}
 }
 
 // NodeGPU bundles one rank's GPU-side resources: its CUDA context, its
@@ -131,29 +119,13 @@ func railTracks(base string, rails int) []string {
 	return out
 }
 
-// Transport implements mpi.GPUTransport.
+// Transport implements mpi.GPUTransport. Pipeline stages are traced on
+// the world's hub (mpi.World.Hub): every stage of every chunk becomes a
+// task on its rank's per-stage track ("rank0.pack", "rank0.d2h", ...,
+// "rank1.unpack"), parented to the MPI request task.
 type Transport struct {
 	cfg   Config
 	nodes map[*mpi.Rank]*NodeGPU
-	hub   *obs.Hub
-}
-
-// SetHub attaches an observability hub: every pipeline stage of every
-// chunk becomes a task on its rank's per-stage track ("rank0.pack",
-// "rank0.d2h", ..., "rank1.unpack"), parented to the MPI request task.
-// cluster.New wires this; direct Transport users without a hub still get
-// Config.Trace served through a lazily created internal hub.
-func (t *Transport) SetHub(h *obs.Hub) { t.hub = h }
-
-// obsHub returns the tracing hub for transfers. When no cluster-level
-// hub was installed but the legacy Config.Trace sink is set, a private
-// hub wrapping it is created on first use so PipelineTrace keeps working
-// for direct Transport users.
-func (t *Transport) obsHub(e sim.Engine) *obs.Hub {
-	if t.hub == nil && t.cfg.Trace != nil {
-		t.hub = obs.NewHub(e, t.cfg.Trace)
-	}
-	return t.hub
 }
 
 // New creates an empty transport; attach per-rank GPU resources with
@@ -335,46 +307,56 @@ func kernelTailCut(m *gpu.CostModel, shape datatype.Shape2D, size, blockSize int
 // enclosing stage span and chunk the pipeline chunk index; kernel-path ops
 // are traced under them.
 func (t *Transport) packChunk(p *sim.Proc, n1 *NodeGPU, pl plan, req *mpi.Request, sp obs.Span, chunk int, dst mem.Ptr, off, n int) *sim.Event {
-	src := req.Buf()
 	if pl.uniform && (pl.packChunkEngine() != engineKernel || (pl.packTailCut > 0 && off >= pl.packTailCut)) {
-		// Row-aligned 2D copy: callers align off and n to row boundaries.
 		// A kernel-mode transfer still lands here for its final short
 		// chunk when that tail is below the kernel/memcpy2D crossover.
-		w := pl.shape.Width
-		if off%w != 0 || n%w != 0 {
-			panic(fmt.Sprintf("core: pack range [%d,%d) not row-aligned (width %d)", off, off+n, w))
-		}
-		return n1.Ctx.Memcpy2DAsyncTask(p, dst, w, src.Add(pl.shape.Off+off/w*pl.shape.Pitch), pl.shape.Pitch, w, n/w, n1.packStream, sp, chunk)
+		return pl.gatherRows(p, n1.Ctx, dst, req, off, n, n1.packStream, sp, chunk)
 	}
 	// Kernel path: a gather kernel walks the cached chunk plan's segments
 	// on the compute engine (callers keep off/n chunk-aligned).
 	d := pl.cp.Kernel(off, n)
-	n1.kernOps++
-	ev := n1.Ctx.LaunchKernelTask(p, n1.packStream, sp, chunk, d.Bytes(), n1.Ctx.Model().PackKernelRate(d.Bytes(), d.Segments()), func() {
-		d.Pack(dst, src)
-	})
-	ev.OnTrigger(func() { n1.kernOps-- })
-	return ev
+	return n1.launch(p, n1.packStream, sp, chunk, d, func() { d.Pack(dst, req.Buf()) })
 }
 
 // unpackChunk is the inverse: scatter packed range [off, off+n) from src
 // (contiguous device memory) into the user buffer.
 func (t *Transport) unpackChunk(p *sim.Proc, n1 *NodeGPU, pl plan, req *mpi.Request, sp obs.Span, chunk int, src mem.Ptr, off, n int) *sim.Event {
-	dst := req.Buf()
 	if pl.uniform && (pl.unpackChunkEngine() != engineKernel || (pl.unpackTail > 0 && off >= pl.unpackTail)) {
-		w := pl.shape.Width
-		if off%w != 0 || n%w != 0 {
-			panic(fmt.Sprintf("core: unpack range [%d,%d) not row-aligned (width %d)", off, off+n, w))
-		}
-		return n1.Ctx.Memcpy2DAsyncTask(p, dst.Add(pl.shape.Off+off/w*pl.shape.Pitch), pl.shape.Pitch, src, w, w, n/w, n1.unpackStream, sp, chunk)
+		return pl.scatterRows(p, n1.Ctx, req, src, off, n, n1.unpackStream, sp, chunk)
 	}
 	d := pl.cp.Kernel(off, n)
+	return n1.launch(p, n1.unpackStream, sp, chunk, d, func() { d.Unpack(req.Buf(), src) })
+}
+
+// launch enqueues a pack or unpack kernel for descriptor d, counted in
+// kernOps while it is in flight.
+func (n1 *NodeGPU) launch(p *sim.Proc, s *cuda.Stream, sp obs.Span, chunk int, d datatype.KernelDesc, body func()) *sim.Event {
 	n1.kernOps++
-	ev := n1.Ctx.LaunchKernelTask(p, n1.unpackStream, sp, chunk, d.Bytes(), n1.Ctx.Model().PackKernelRate(d.Bytes(), d.Segments()), func() {
-		d.Unpack(dst, src)
-	})
+	ev := n1.Ctx.LaunchKernelTask(p, s, sp, chunk, d.Bytes(), n1.Ctx.Model().PackKernelRate(d.Bytes(), d.Segments()), body)
 	ev.OnTrigger(func() { n1.kernOps-- })
 	return ev
+}
+
+// gatherRows enqueues one 2D copy of the rows holding packed range
+// [off, off+n) of a uniform request into contiguous dst: the copy-engine
+// pack, and the host-staged D2H hop. scatterRows is its inverse. Both
+// need row-aligned ranges.
+func (pl plan) gatherRows(p *sim.Proc, ctx *cuda.Ctx, dst mem.Ptr, req *mpi.Request, off, n int, s *cuda.Stream, sp obs.Span, chunk int) *sim.Event {
+	w := pl.rowWidth(off, n)
+	return ctx.Memcpy2DAsyncTask(p, dst, w, req.Buf().Add(pl.shape.Off+off/w*pl.shape.Pitch), pl.shape.Pitch, w, n/w, s, sp, chunk)
+}
+
+func (pl plan) scatterRows(p *sim.Proc, ctx *cuda.Ctx, req *mpi.Request, src mem.Ptr, off, n int, s *cuda.Stream, sp obs.Span, chunk int) *sim.Event {
+	w := pl.rowWidth(off, n)
+	return ctx.Memcpy2DAsyncTask(p, req.Buf().Add(pl.shape.Off+off/w*pl.shape.Pitch), pl.shape.Pitch, src, w, w, n/w, s, sp, chunk)
+}
+
+func (pl plan) rowWidth(off, n int) int {
+	w := pl.shape.Width
+	if off%w != 0 || n%w != 0 {
+		panic(fmt.Sprintf("core: range [%d,%d) not row-aligned (width %d)", off, off+n, w))
+	}
+	return w
 }
 
 // ---------------------------------------------------------------------------
@@ -514,83 +496,99 @@ func (t *Transport) DeliverFromHost(req *mpi.Request, packed []byte) {
 }
 
 // ---------------------------------------------------------------------------
-// Rendezvous sender: the five-stage pipeline, stages 1-3.
+// Rendezvous: one chunk pipeline, configured per side by a stage list.
 
-// StartRendezvousSend sends the RTS immediately and starts packing before
-// the CTS arrives, overlapping the handshake with datatype processing.
+// stages is one side's stage list, resolved once per transfer. The sender
+// runs pack → D2H hop → wire, the receiver landing → H2D hop → unpack:
+//
+//   - device: pack into (stage 1) or unpack from (stage 5) a device tbuf.
+//   - hop: stage through vbufs across PCIe (stages 2 and 4). Without it
+//     the wire reads device memory in place, and the receiver lands in one
+//     registered region: the tbuf or user buffer (GPUDirect) or the SGE
+//     scatter region.
+//   - rows: the hop gathers or scatters user-buffer rows itself
+//     (host-staged), in place of a device pack/unpack.
+//   - sge: the HCA's SGE unit walks the buffer: a gather-write on the
+//     sender (of the vbuf, with a hop), the scatter region on a receiver
+//     without a hop.
+type stages struct {
+	device, hop, rows, sge bool
+}
+
+// stagesFor applies the dispatch precedence, shared by both sides, to one
+// side's engine: GPUDirect unless the nic engine owns the side (the SGE
+// unit already reads device memory in place), then host-staged (uniform
+// rows that tile the block), then nic, then the paper's five stages.
+func (t *Transport) stagesFor(r *mpi.Rank, pl plan, eng packEngine) stages {
+	switch {
+	case r.HCA().Model().AllowDeviceRegistration && eng != engineNic:
+		return stages{device: !pl.contig}
+	case t.cfg.HostStagedPack && pl.uniform && !pl.contig && r.World().Config().BlockSize%pl.shape.Width == 0:
+		return stages{hop: true, rows: true, sge: eng == engineNic}
+	case eng == engineNic:
+		return stages{sge: true}
+	}
+	return stages{device: !pl.contig, hop: true}
+}
+
+// post writes one chunk into its announced slot: an SGE gather-write of
+// src when sge is set, else a plain RDMA write of its contiguous bytes.
+func post(r *mpi.Rank, req *mpi.Request, slot mpi.Slot, sge bool, src ib.SGDesc, rail int, sp obs.Span) *sim.Event {
+	if sge {
+		return r.RDMANicChunkRailSpan(req, slot, src, rail, sp)
+	}
+	return r.RDMAChunkRailSpan(req, slot, src.Buf, src.N, rail, sp)
+}
+
+// packStep is one issued stage-1 pack: its completion covers packed bytes
+// below cut.
+type packStep struct {
+	done *sim.Event
+	cut  int
+	sp   obs.Span
+}
+
+// StartRendezvousSend sends the RTS immediately and runs the sender's
+// stages. Packing starts before the CTS arrives, overlapping the handshake
+// with datatype processing.
 func (t *Transport) StartRendezvousSend(req *mpi.Request) {
 	r := req.Rank()
 	n1 := t.Node(r)
 	pl := t.planFor(req)
+	st := t.stagesFor(r, pl, pl.packEng)
 	r.SendRTS(req)
 	e := r.World().Engine()
 	e.Spawn(fmt.Sprintf("rank%d.gpusend", r.Rank()), func(p *sim.Proc) {
-		h := t.obsHub(e)
+		h := r.World().Hub()
 		parent := req.ObsSpan()
 		size := pl.size
 		blockSize := r.World().Config().BlockSize
-		// Dispatch: GPUDirect removes the staging stages unless the nic
-		// engine owns the pack (the SGE unit already reads device memory
-		// in place, staging-free); host-staged keeps its vbuf pipeline and
-		// lets the nic engine gather from the vbuf; a nic pack otherwise
-		// takes the shortened gather pipeline.
-		if t.cfg.GPUDirect && pl.packEng != engineNic {
-			t.sendGDR(p, n1, pl, req)
-			return
-		}
-		if hostStagedApplies(t, pl, blockSize) {
-			t.sendHostStaged(p, n1, pl, req)
-			return
-		}
-		if pl.packEng == engineNic {
-			t.sendNic(p, n1, pl, req)
-			return
-		}
 
 		// Stage 1: issue all device-side packs up front (row-aligned groups
 		// close to the block size for the copy engine, chunk-aligned blocks
-		// for the pack kernel), building a contiguous packed tbuf.
-		var tbuf mem.Ptr
-		var packDone []*sim.Event // packDone[i] covers packed bytes up to packCut[i]
-		var packCut []int
-		var packSpans []obs.Span // packSpans[i] is packDone[i]'s stage task, for dep edges
-		if pl.contig {
-			tbuf = req.Buf().Add(pl.shape.Off) // stage straight out of the user buffer
-		} else {
-			//lint:ignore allocfree freed at the end of this function under the same !pl.contig guard that allocated it; the flow analysis is path-insensitive and cannot correlate the branches
-			tbuf = n1.Ctx.MustMalloc(size)
+		// for the pack kernel), building a contiguous packed tbuf. Without
+		// it, a contiguous buffer is staged straight out of the user buffer.
+		src := req.Buf().Add(pl.shape.Off)
+		var packs []packStep
+		if st.device {
+			//lint:ignore allocfree freed at the end of this function under the same st.device guard that allocated it; the flow analysis is path-insensitive and cannot correlate the branches
+			src = n1.Ctx.MustMalloc(size)
 			step := size
 			if pl.uniform && pl.packChunkEngine() != engineKernel {
-				rows := max(1, blockSize/pl.shape.Width)
-				step = rows * pl.shape.Width
+				step = max(1, blockSize/pl.shape.Width) * pl.shape.Width
 			} else if size > blockSize {
 				step = blockSize
 			}
+			packs = make([]packStep, 0, (size+step-1)/step)
 			for off := 0; off < size; off += step {
 				n := min(step, size-off)
-				idx := len(packDone)
-				sp := h.StartChild(parent, obs.KindPack, n1.tracks.pack, idx, n)
-				ev := t.packChunk(p, n1, pl, req, sp, idx, tbuf.Add(off), off, n)
-				packDone = append(packDone, ev)
-				packCut = append(packCut, off+n)
-				packSpans = append(packSpans, sp)
+				sp := h.StartChild(parent, obs.KindPack, n1.tracks.pack, len(packs), n)
+				ev := t.packChunk(p, n1, pl, req, sp, len(packs), src.Add(off), off, n)
+				packs = append(packs, packStep{ev, off + n, sp})
 				if sp.Active() {
 					ev.OnTrigger(sp.End)
 				}
 			}
-		}
-		// packIdx returns the index of the pack whose completion covers all
-		// packed bytes below throughByte, or -1 when there is no pack stage.
-		packIdx := func(throughByte int) int {
-			if pl.contig {
-				return -1
-			}
-			for i, cut := range packCut {
-				if cut >= throughByte {
-					return i
-				}
-			}
-			return len(packDone) - 1
 		}
 
 		// Rendezvous handshake: by now the RTS is long gone; wait for the
@@ -603,36 +601,56 @@ func (t *Transport) StartRendezvousSend(req *mpi.Request) {
 			panic(fmt.Sprintf("core: receiver announced %d chunks, want %d", total, want))
 		}
 
-		// Stages 2-3 per chunk: D2H into a vbuf, RDMA write + FIN, recycle
-		// the vbuf at local completion. Chained via completion callbacks so
-		// chunk i's RDMA overlaps chunk i+1's D2H and later packs. Chunks
-		// stripe round-robin: chunk c stages on D2H stream c%rails and
-		// flies on HCA rail c%rails, so with R rails up to R chunks occupy
-		// PCIe queues and wires concurrently.
+		// Per chunk: wait for the pack covering it, then hop and wire,
+		// chained via completion callbacks so chunk i's RDMA overlaps chunk
+		// i+1's D2H and later packs; the vbuf recycles at local completion.
+		// Chunk c stages on D2H stream c%rails and flies on HCA rail
+		// c%rails, so with R rails up to R chunks are in flight at once.
 		chunkSent := make([]*sim.Event, total)
 		for c := 0; c < total; c++ {
-			c := c
 			rail := c % n1.rails
 			off := c * chunkBytes
 			n := min(chunkBytes, size-off)
 			slot := req.AwaitSlot(p, c)
-			pi := packIdx(off + n)
-			if pi >= 0 {
-				p.Wait(packDone[pi])
+			var pack obs.Span
+			if len(packs) > 0 {
+				i := 0
+				for i < len(packs)-1 && packs[i].cut < off+n {
+					i++
+				}
+				p.Wait(packs[i].done)
+				pack = packs[i].sp
 			}
-			vbuf := n1.Pool.GetRail(p, rail)
 			sent := e.NewEvent(fmt.Sprintf("rank%d.chunk%d.sent", r.Rank(), c))
 			chunkSent[c] = sent
-			d2hSp := h.StartChild(parent, obs.KindD2H, n1.tracks.d2h[rail], c, n)
-			if pi >= 0 {
-				d2hSp.DependsOn(packSpans[pi], obs.DepPack)
+			if !st.hop {
+				sp := h.StartChild(parent, obs.KindRDMA, n1.tracks.rdma[rail], c, n)
+				sp.DependsOn(pack, obs.DepPack)
+				wire := pl.sgRange(req, off, n)
+				if !st.sge {
+					wire = ib.SGDesc{Buf: src.Add(off), N: n}
+				}
+				rdma := post(r, req, slot, st.sge, wire, rail, sp)
+				if sp.Active() {
+					rdma.OnTrigger(sp.End)
+				}
+				rdma.OnTrigger(sent.Trigger)
+				continue
 			}
-			d2h := n1.Ctx.MemcpyAsyncTask(p, vbuf.Ptr, tbuf.Add(off), n, n1.d2hStreams[rail], d2hSp, c)
+			vbuf := n1.Pool.GetRail(p, rail)
+			d2hSp := h.StartChild(parent, obs.KindD2H, n1.tracks.d2h[rail], c, n)
+			d2hSp.DependsOn(pack, obs.DepPack)
+			var d2h *sim.Event
+			if st.rows {
+				d2h = pl.gatherRows(p, n1.Ctx, vbuf.Ptr, req, off, n, n1.d2hStreams[rail], d2hSp, c)
+			} else {
+				d2h = n1.Ctx.MemcpyAsyncTask(p, vbuf.Ptr, src.Add(off), n, n1.d2hStreams[rail], d2hSp, c)
+			}
 			d2h.OnTrigger(func() {
 				d2hSp.End()
 				rdmaSp := h.StartChild(parent, obs.KindRDMA, n1.tracks.rdma[rail], c, n)
 				rdmaSp.DependsOn(d2hSp, obs.DepStage)
-				rdma := r.RDMAChunkRailSpan(req, slot, vbuf.Ptr, n, rail, rdmaSp)
+				rdma := post(r, req, slot, st.sge, ib.SGDesc{Buf: vbuf.Ptr, N: n}, rail, rdmaSp)
 				rdma.OnTrigger(func() {
 					rdmaSp.End()
 					n1.Pool.Put(vbuf)
@@ -641,86 +659,40 @@ func (t *Transport) StartRendezvousSend(req *mpi.Request) {
 			})
 		}
 		p.WaitAll(chunkSent...)
-		if !pl.contig {
-			mustFree(n1.Ctx, tbuf)
+		if st.device {
+			mustFree(n1.Ctx, src)
 		}
 		req.CompleteSend()
 	})
 }
 
-// ---------------------------------------------------------------------------
-// Rendezvous receiver: stages 4-5.
-
-// StartRendezvousRecv announces vbuf landing slots (in batches bounded by
-// pool availability), then per arriving chunk stages H2D into tbuf and
-// unpacks row-aligned groups as their bytes land.
+// StartRendezvousRecv runs the receiver's stages. With a hop it announces
+// vbuf landing slots in batches bounded by pool availability and stages
+// each arriving chunk across PCIe; otherwise it announces one registered
+// region up front. A device unpack follows the landed bytes.
 func (t *Transport) StartRendezvousRecv(req *mpi.Request) {
 	r := req.Rank()
 	n1 := t.Node(r)
 	pl := t.planFor(req)
+	st := t.stagesFor(r, pl, pl.unpackEng)
 	e := r.World().Engine()
 	e.Spawn(fmt.Sprintf("rank%d.gpurecv", r.Rank()), func(p *sim.Proc) {
-		h := t.obsHub(e)
+		h := r.World().Hub()
 		parent := req.ObsSpan()
 		size := req.Size()
 		total, chunkBytes := r.World().ChunkGeometry(size)
-		if t.cfg.GPUDirect && pl.unpackEng != engineNic {
-			t.recvGDR(p, n1, pl, req)
-			return
-		}
-		if hostStagedApplies(t, pl, chunkBytes) {
-			t.recvHostStaged(p, n1, pl, req)
-			return
-		}
-		if pl.unpackEng == engineNic {
-			t.recvNic(p, n1, pl, req)
-			return
-		}
-		if chunkBytes != n1.RecvPool.ChunkSize() {
-			panic(fmt.Sprintf("core: block size %d != vbuf size %d", chunkBytes, n1.RecvPool.ChunkSize()))
-		}
-
-		var tbuf mem.Ptr
-		if pl.contig {
-			tbuf = req.Buf().Add(pl.shape.Off) // land H2D chunks straight in the user buffer
-		} else {
-			tbuf = n1.Ctx.MustMalloc(size)
-		}
-
 		chunkLen := func(c int) int { return min(chunkBytes, size-c*chunkBytes) }
 
-		// Progressive unpack state: rows are unpacked as soon as all their
-		// packed bytes have arrived on the device.
-		arrived := 0
-		unpackedThrough := 0
-		var unpackEvs []*sim.Event
-		advanceUnpack := func(trigger obs.Span) {
-			if pl.contig {
-				return
-			}
-			// The copy engine unpacks whole rows; the kernel path keeps
-			// chunk alignment (arrived only moves in whole chunks), which
-			// is what its plan ranges require.
-			var cut int
-			if pl.uniform && pl.unpackChunkEngine() != engineKernel {
-				cut = arrived / pl.shape.Width * pl.shape.Width
-			} else {
-				cut = arrived
-			}
-			if cut > unpackedThrough {
-				idx := len(unpackEvs)
-				sp := h.StartChild(parent, obs.KindUnpack, n1.tracks.unpack, idx, cut-unpackedThrough)
-				sp.DependsOn(trigger, obs.DepStage)
-				ev := t.unpackChunk(nil, n1, pl, req, sp, idx, tbuf.Add(unpackedThrough), unpackedThrough, cut-unpackedThrough)
-				unpackEvs = append(unpackEvs, ev)
-				if sp.Active() {
-					ev.OnTrigger(sp.End)
-				}
-				unpackedThrough = cut
-			}
-		}
+		dst, land, finish := t.unpackStage(p, n1, pl, req, st.device, total, chunkBytes)
 
-		slotVbuf := make([]*hostmem.Vbuf, total)
+		// done[c] fires once chunk c's bytes are in place: its H2D, or its
+		// SGE scatter. GPUDirect lands with the FIN and has none.
+		var done []*sim.Event
+		if st.hop || st.sge {
+			done = make([]*sim.Event, total)
+		}
+		var slotVbuf []*hostmem.Vbuf
+		var region ib.Region
 		announced := 0
 		announce := func() {
 			// Grab every immediately free receive vbuf (at least one,
@@ -746,58 +718,130 @@ func (t *Transport) StartRendezvousRecv(req *mpi.Request) {
 			}
 			r.SendCTS(req, total, chunkBytes, slots)
 		}
+		if st.hop {
+			if chunkBytes != n1.RecvPool.ChunkSize() {
+				panic(fmt.Sprintf("core: block size %d != vbuf size %d", chunkBytes, n1.RecvPool.ChunkSize()))
+			}
+			slotVbuf = make([]*hostmem.Vbuf, total)
+		} else {
+			if st.sge {
+				for c := range done {
+					done[c] = e.NewEvent(fmt.Sprintf("rank%d.nicscatter%d", r.Rank(), c))
+				}
+				region = r.HCA().RegisterScatterRegion(pl.sgRange(req, 0, size), chunkBytes, func(c int) {
+					done[c].Trigger()
+				})
+			} else {
+				region = r.HCA().Register(dst, size)
+			}
+			slots := make([]mpi.Slot, total)
+			for c := range slots {
+				slots[c] = mpi.Slot{Chunk: c, Rkey: region.Rkey, Off: c * chunkBytes, Len: chunkLen(c)}
+			}
+			r.SendCTS(req, total, chunkBytes, slots)
+		}
 
-		// FINs from different rails may overtake each other, so chunks are
-		// processed in arrival order; the progressive unpack only advances
-		// over the contiguous prefix of landed chunks.
-		h2dDone := make([]*sim.Event, total)
-		arrivedChunks := make([]bool, total)
-		prefixChunks := 0
-		for done := 0; done < total; done++ {
-			for announced <= done {
+		// A FIN is bogus when out of range or repeated: with a hop, done[c]
+		// records chunk c's FIN; without one, fin[c] does.
+		var fin []bool
+		if !st.hop {
+			fin = make([]bool, total)
+		}
+		for i := 0; i < total; i++ {
+			for st.hop && announced <= i {
 				announce()
 			}
 			c := req.AwaitFin(p)
-			if c < 0 || c >= total || h2dDone[c] != nil {
+			if c < 0 || c >= total || (st.hop && done[c] != nil) || (!st.hop && fin[c]) {
 				panic(fmt.Sprintf("core: bogus FIN for chunk %d", c))
+			}
+			if !st.hop {
+				fin[c] = true
+				if land != nil {
+					land(c, obs.Span{}) // GPUDirect: the bytes are already in place
+				}
+				continue
 			}
 			vbuf := slotVbuf[c]
 			n := chunkLen(c)
 			off := c * chunkBytes
 			rail := c % n1.rails
 			h2dSp := h.StartChild(parent, obs.KindH2D, n1.tracks.h2d[rail], c, n)
-			ev := n1.Ctx.MemcpyAsyncTask(p, tbuf.Add(off), vbuf.Ptr, n, n1.h2dStreams[rail], h2dSp, c)
-			h2dDone[c] = ev
+			var ev *sim.Event
+			if st.rows {
+				ev = pl.scatterRows(p, n1.Ctx, req, vbuf.Ptr, off, n, n1.h2dStreams[rail], h2dSp, c)
+			} else {
+				ev = n1.Ctx.MemcpyAsyncTask(p, dst.Add(off), vbuf.Ptr, n, n1.h2dStreams[rail], h2dSp, c)
+			}
+			done[c] = ev
 			ev.OnTrigger(func() {
 				h2dSp.End()
 				n1.RecvPool.Put(vbuf)
-				arrivedChunks[c] = true
-				for prefixChunks < total && arrivedChunks[prefixChunks] {
-					prefixChunks++
+				if land != nil {
+					land(c, h2dSp)
 				}
-				arrived = min(prefixChunks*chunkBytes, size)
-				advanceUnpack(h2dSp)
 			})
 		}
-		p.WaitAll(h2dDone...)
-		// All bytes are on the device; flush any unpack tail and wait.
-		arrived = size
-		if !pl.contig {
-			if unpackedThrough < size {
-				idx := len(unpackEvs)
-				sp := h.StartChild(parent, obs.KindUnpack, n1.tracks.unpack, idx, size-unpackedThrough)
-				ev := t.unpackChunk(p, n1, pl, req, sp, idx, tbuf.Add(unpackedThrough), unpackedThrough, size-unpackedThrough)
-				unpackEvs = append(unpackEvs, ev)
-				if sp.Active() {
-					ev.OnTrigger(sp.End)
-				}
-				unpackedThrough = size
-			}
-			p.WaitAll(unpackEvs...)
-			mustFree(n1.Ctx, tbuf)
+		p.WaitAll(done...)
+		if !st.hop {
+			r.HCA().Deregister(region)
+		}
+		if finish != nil {
+			finish()
 		}
 		req.CompleteRecv()
 	})
+}
+
+// unpackStage returns where the receiver's bytes land. With a device unpack
+// (stage 5) that is a tbuf, and two hooks come back: land marks chunk c on
+// the device and unpacks what that completes, finish flushes the tail,
+// waits and frees the tbuf. FINs from different rails may overtake each
+// other, so the unpack follows the contiguous prefix of landed chunks: in
+// whole rows on the copy engine, in whole chunks on the kernel path. With
+// no device unpack the bytes land in the contiguous user buffer and both
+// hooks are nil.
+func (t *Transport) unpackStage(p *sim.Proc, n1 *NodeGPU, pl plan, req *mpi.Request, device bool, total, chunkBytes int) (dst mem.Ptr, land func(c int, trigger obs.Span), finish func()) {
+	if !device {
+		return req.Buf().Add(pl.shape.Off), nil, nil
+	}
+	h, parent, size := req.Rank().World().Hub(), req.ObsSpan(), pl.size
+	tbuf := n1.Ctx.MustMalloc(size)
+	through := 0
+	var evs []*sim.Event
+	unpack := func(p *sim.Proc, trigger obs.Span, cut int) {
+		sp := h.StartChild(parent, obs.KindUnpack, n1.tracks.unpack, len(evs), cut-through)
+		sp.DependsOn(trigger, obs.DepStage)
+		ev := t.unpackChunk(p, n1, pl, req, sp, len(evs), tbuf.Add(through), through, cut-through)
+		evs = append(evs, ev)
+		if sp.Active() {
+			ev.OnTrigger(sp.End)
+		}
+		through = cut
+	}
+	landed := make([]bool, total)
+	prefix := 0
+	land = func(c int, trigger obs.Span) {
+		landed[c] = true
+		for prefix < total && landed[prefix] {
+			prefix++
+		}
+		cut := min(prefix*chunkBytes, size)
+		if pl.uniform && pl.unpackChunkEngine() != engineKernel {
+			cut = cut / pl.shape.Width * pl.shape.Width
+		}
+		if cut > through {
+			unpack(nil, trigger, cut)
+		}
+	}
+	finish = func() {
+		if through < size {
+			unpack(p, obs.Span{}, size)
+		}
+		p.WaitAll(evs...)
+		mustFree(n1.Ctx, tbuf)
+	}
+	return tbuf, land, finish
 }
 
 func mustFree(ctx *cuda.Ctx, p mem.Ptr) {

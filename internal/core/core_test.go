@@ -14,6 +14,7 @@ import (
 	"mv2sim/internal/gpu"
 	"mv2sim/internal/mem"
 	"mv2sim/internal/mpi"
+	"mv2sim/internal/obs"
 	"mv2sim/internal/sim"
 )
 
@@ -449,8 +450,7 @@ func TestPipelineTraceShowsOverlap(t *testing.T) {
 	v, _ := datatype.Vector(1<<19, 4, 16, datatype.Byte) // 2 MB, 32 chunks
 	v.MustCommit()
 	trace := &core.PipelineTrace{}
-	cfg := cluster.Config{GPUMemBytes: 64 << 20}
-	cfg.Core.Trace = trace
+	cfg := cluster.Config{GPUMemBytes: 64 << 20, Tracers: []obs.Tracer{trace}}
 	cl := cluster.New(cfg)
 	err := cl.Run(func(n *cluster.Node) {
 		r := n.Rank

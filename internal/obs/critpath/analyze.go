@@ -295,6 +295,16 @@ func (c *Collector) bindingPred(cur obs.Task, nodes []obs.Task, byID map[uint64]
 			}
 		}
 	}
+	if cur.Kind == obs.KindUnpack && len(c.deps[cur.ID]) == 0 && !hasKind(nodes, obs.KindH2D) {
+		// A receiver without a staging hop (GPUDirect) unpacks straight
+		// out of the landed bytes: the unpack waited on the latest chunk
+		// to finish streaming in before it.
+		for _, n := range nodes {
+			if rxWireTask(n) {
+				consider(n, "chunk")
+			}
+		}
+	}
 	// Same-track serialization: the latest earlier stage task on the same
 	// resource track.
 	var serial obs.Task
@@ -523,4 +533,13 @@ func maxTime(a, b sim.Time) sim.Time {
 		return a
 	}
 	return b
+}
+
+func hasKind(nodes []obs.Task, kind string) bool {
+	for _, n := range nodes {
+		if n.Kind == kind {
+			return true
+		}
+	}
+	return false
 }

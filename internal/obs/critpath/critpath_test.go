@@ -16,10 +16,10 @@ import (
 	"mv2sim/internal/sim"
 )
 
-// runTransfer runs one pipetrace-style 2-GPU vector transfer with the
-// collector (and optionally a chrome tracer) attached and returns the
-// analyses.
-func runTransfer(t testing.TB, msg, rails int, mode core.PackMode) (*critpath.Collector, *obs.ChromeTracer) {
+// runTransfer runs one pipetrace-style 2-GPU vector transfer, with
+// GPUDirect RDMA on or off, with the collector (and optionally a chrome
+// tracer) attached and returns the analyses.
+func runTransfer(t testing.TB, msg, rails int, mode core.PackMode, gdr bool) (*critpath.Collector, *obs.ChromeTracer) {
 	t.Helper()
 	rows := msg / 4
 	vec, err := datatype.Vector(rows, 1, 4, datatype.Float32)
@@ -34,6 +34,7 @@ func runTransfer(t testing.TB, msg, rails int, mode core.PackMode) (*critpath.Co
 		GPUMemBytes: 2*rows*16 + (64 << 20),
 		Rails:       rails,
 		Tracers:     []obs.Tracer{col, chrome},
+		GPUDirect:   gdr,
 	}
 	cfg.Core.PackMode = mode
 	cfg.Core.UnpackMode = mode
@@ -75,8 +76,8 @@ func render(a *critpath.Analysis) string {
 // must render byte-identical reports, and the headline numbers must stay
 // pinned.
 func TestGoldenDeterminism(t *testing.T) {
-	colA, _ := runTransfer(t, 1<<20, 1, core.PackModeMemcpy2D)
-	colB, _ := runTransfer(t, 1<<20, 1, core.PackModeMemcpy2D)
+	colA, _ := runTransfer(t, 1<<20, 1, core.PackModeMemcpy2D, false)
+	colB, _ := runTransfer(t, 1<<20, 1, core.PackModeMemcpy2D, false)
 	asA, asB := colA.Analyze(), colB.Analyze()
 	if len(asA) != 1 || len(asB) != 1 {
 		t.Fatalf("transfers analyzed: %d and %d, want 1 and 1", len(asA), len(asB))
@@ -113,7 +114,7 @@ func TestGoldenDeterminism(t *testing.T) {
 // TestIngestRoundTrip verifies that analyzing a re-ingested Chrome trace
 // reproduces the live analysis exactly.
 func TestIngestRoundTrip(t *testing.T) {
-	col, chrome := runTransfer(t, 1<<20, 2, core.PackModeKernel)
+	col, chrome := runTransfer(t, 1<<20, 2, core.PackModeKernel, false)
 	var buf bytes.Buffer
 	if _, err := chrome.WriteTo(&buf); err != nil {
 		t.Fatal(err)
@@ -134,7 +135,7 @@ func TestIngestRoundTrip(t *testing.T) {
 }
 
 // TestAttributionProperties is the property test over the configuration
-// space: for every (size, rails, pack mode) combination the attribution
+// space: for every (size, rails, pack mode, GPUDirect) combination the attribution
 // must sum exactly to the wall clock and the critical path must be a valid
 // DAG path — time-ordered, non-overlapping, with every step's gap buckets
 // summing to its gap.
@@ -149,13 +150,14 @@ func TestAttributionProperties(t *testing.T) {
 	type key struct {
 		size, rails int
 		mode        core.PackMode
+		gdr         bool
 	}
 	cache := map[key]*critpath.Analysis{}
 	analyze := func(k key) *critpath.Analysis {
 		if a, ok := cache[k]; ok {
 			return a
 		}
-		col, _ := runTransfer(t, k.size, k.rails, k.mode)
+		col, _ := runTransfer(t, k.size, k.rails, k.mode, k.gdr)
 		as := col.Analyze()
 		if len(as) != 1 {
 			t.Fatalf("%+v: analyzed %d transfers, want 1", k, len(as))
@@ -164,11 +166,12 @@ func TestAttributionProperties(t *testing.T) {
 		return as[0]
 	}
 
-	prop := func(si, ri, mi uint8) bool {
+	prop := func(si, ri, mi uint8, gdr bool) bool {
 		k := key{
 			size:  sizes[int(si)%len(sizes)],
 			rails: railses[int(ri)%len(railses)],
 			mode:  modes[int(mi)%len(modes)],
+			gdr:   gdr,
 		}
 		a := analyze(k)
 		if !a.Exact() {

@@ -14,7 +14,7 @@ import (
 // scatter as unpack work, and the SGE engine wait surfaced in the
 // dedicated nic-queueing bucket.
 func TestNicAttribution(t *testing.T) {
-	col, _ := runTransfer(t, 1<<20, 1, core.PackModeNic)
+	col, _ := runTransfer(t, 1<<20, 1, core.PackModeNic, false)
 	as := col.Analyze()
 	if len(as) != 1 {
 		t.Fatalf("analyzed %d transfers, want 1", len(as))

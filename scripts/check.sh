@@ -46,11 +46,24 @@ echo "== race-mode benchmark smoke"
 # configurations miss. -benchtime 1x keeps it a smoke test, not a timing.
 go test -race -short -run '^$' -bench . -benchtime 1x . > /dev/null
 
+echo "== build trace tools"
+# The trace, engine-parity, pack-mode, nic, multi-rail, auto-pack and
+# pipedoctor gates below run these three commands about twenty times;
+# build each once.
+bin=$(mktemp -d /tmp/mv2sim-bin.XXXXXX)
+trap 'rm -rf "$bin"' EXIT
+go build -o "$bin/pipetrace" ./cmd/pipetrace
+go build -o "$bin/tracecheck" ./cmd/tracecheck
+go build -o "$bin/pipedoctor" ./cmd/pipedoctor
+pt="$bin/pipetrace"
+tc="$bin/tracecheck"
+doctor="$bin/pipedoctor"
+
 echo "== trace gate"
 # One traced pipeline run must produce a valid, well-ordered Chrome trace.
 tracefile="${TRACE_OUT:-$(mktemp /tmp/mv2sim-trace.XXXXXX.json)}"
-go run ./cmd/pipetrace -chrome "$tracefile" > /dev/null
-go run ./cmd/tracecheck "$tracefile"
+"$pt" -chrome "$tracefile" > /dev/null
+"$tc" "$tracefile"
 if [ -z "${TRACE_OUT:-}" ]; then
     rm -f "$tracefile"
 fi
@@ -60,8 +73,6 @@ echo "== engine parity gate"
 # Chrome trace, event for event and timestamp for timestamp, across the
 # pack modes and rail counts that exercise every pipeline stage. This is
 # the contract that lets -engine parallel be a pure wall-clock knob.
-pt=$(mktemp /tmp/mv2sim-pipetrace.XXXXXX.bin)
-go build -o "$pt" ./cmd/pipetrace
 for mode in memcpy2d auto kernel nic; do
     for rails in 1 2; do
         es=$(mktemp /tmp/mv2sim-engser.XXXXXX.json)
@@ -73,7 +84,6 @@ for mode in memcpy2d auto kernel nic; do
         rm -f "$es" "$ep"
     done
 done
-rm -f "$pt"
 
 echo "== parallel-engine race tests"
 # The cluster-heavy packages again, now with every task body dispatched
@@ -86,15 +96,15 @@ echo "== pack-mode gate"
 # byte (the committed golden), and the auto/kernel modes must emit valid,
 # well-ordered traces.
 pm=$(mktemp /tmp/mv2sim-packmode.XXXXXX.txt)
-go run ./cmd/pipetrace -packmode memcpy2d > "$pm"
+"$pt" -packmode memcpy2d > "$pm"
 cmp "$pm" scripts/testdata/pipetrace_memcpy2d.golden || {
     echo "-packmode memcpy2d drifted from the golden pipeline output"; exit 1;
 }
 rm -f "$pm"
 for mode in auto kernel nic; do
     mt=$(mktemp /tmp/mv2sim-packmode.XXXXXX.json)
-    go run ./cmd/pipetrace -packmode "$mode" -chrome "$mt" > /dev/null
-    go run ./cmd/tracecheck "$mt"
+    "$pt" -packmode "$mode" -chrome "$mt" > /dev/null
+    "$tc" "$mt"
     rm -f "$mt"
 done
 
@@ -107,12 +117,12 @@ echo "== nic pack-mode gate"
 # to diverge from the model's happy path, exactness is not.
 na=$(mktemp /tmp/mv2sim-nic.XXXXXX.json)
 nb=$(mktemp /tmp/mv2sim-nic.XXXXXX.json)
-go run ./cmd/pipetrace -packmode nic -chrome "$na" > /dev/null
-go run ./cmd/pipetrace -packmode nic -chrome "$nb" > /dev/null
+"$pt" -packmode nic -chrome "$na" > /dev/null
+"$pt" -packmode nic -chrome "$nb" > /dev/null
 cmp "$na" "$nb" || { echo "-packmode nic trace not deterministic"; exit 1; }
 grep -q 'nicEngine' "$na" || { echo "-packmode nic trace has no nicEngine track"; exit 1; }
 rm -f "$na" "$nb"
-go run ./cmd/pipedoctor -msg $((4<<20)) -packmode nic > /dev/null
+"$doctor" -msg $((4<<20)) -packmode nic > /dev/null
 
 echo "== multi-rail trace gate"
 # The striped pipeline must stay deterministic and correctly named: at each
@@ -121,9 +131,9 @@ echo "== multi-rail trace gate"
 for rails in 2 4; do
     ra=$(mktemp /tmp/mv2sim-rails.XXXXXX.json)
     rb=$(mktemp /tmp/mv2sim-rails.XXXXXX.json)
-    go run ./cmd/pipetrace -rails "$rails" -chrome "$ra" > /dev/null
-    go run ./cmd/pipetrace -rails "$rails" -chrome "$rb" > /dev/null
-    go run ./cmd/tracecheck "$ra"
+    "$pt" -rails "$rails" -chrome "$ra" > /dev/null
+    "$pt" -rails "$rails" -chrome "$rb" > /dev/null
+    "$tc" "$ra"
     cmp "$ra" "$rb" || { echo "rails=$rails trace not deterministic"; exit 1; }
     rm -f "$ra" "$rb"
 done
@@ -133,8 +143,8 @@ echo "== auto-pack trace validation gate"
 # striped auto-pack pipeline (rails=2, packmode=auto) — the configuration
 # that exercises both the kernel pack engine and rail-suffixed tracks.
 at=$(mktemp /tmp/mv2sim-autorails.XXXXXX.json)
-go run ./cmd/pipetrace -rails 2 -packmode auto -chrome "$at" > /dev/null
-go run ./cmd/tracecheck "$at"
+"$pt" -rails 2 -packmode auto -chrome "$at" > /dev/null
+"$tc" "$at"
 rm -f "$at"
 
 echo "== pipedoctor gate"
@@ -143,7 +153,7 @@ echo "== pipedoctor gate"
 # clock, the flag state must be consistent with the measured divergence,
 # and -strict fails the gate if the (n+2)*T(N/n) model diverges >10%.
 pd="${PIPEDOCTOR_OUT:-$(mktemp /tmp/mv2sim-critpath.XXXXXX.json)}"
-go run ./cmd/pipedoctor -msg $((4<<20)) -packmode memcpy2d -strict -bench "$pd" > /dev/null
+"$doctor" -msg $((4<<20)) -packmode memcpy2d -strict -bench "$pd" > /dev/null
 
 echo "== load harness gate"
 # The open-loop load sweep must be byte-reproducible: regenerating
