@@ -86,6 +86,11 @@ type Datatype struct {
 	elemWidth   int
 	elemPitch   int
 
+	// dataLo and dataHi bound the bytes one element's type map touches
+	// (the true extent as [lo, hi)); the payload walks resolve their typed
+	// memory from them once per call.
+	dataLo, dataHi int
+
 	planCache // lazily built per-(count, chunkBytes) chunk plans
 }
 
@@ -100,7 +105,7 @@ var (
 )
 
 func predefined(name string, size int) *Datatype {
-	t := &Datatype{name: name, kind: KindPredefined, size: size, lb: 0, ub: size}
+	t := &Datatype{name: name, kind: KindPredefined, size: size, lb: 0, ub: size, dataHi: size}
 	t.iov = []Segment{{0, size}}
 	t.prefix = []int{0}
 	t.committed = true
@@ -482,6 +487,8 @@ func (t *Datatype) Commit() error {
 		return fmt.Errorf("datatype: internal error: iov covers %d bytes, size is %d", sum, t.size)
 	}
 	t.canonicalize()
+	lo, ext := t.TrueExtent()
+	t.dataLo, t.dataHi = lo, lo+ext
 	t.committed = true
 	return nil
 }

@@ -34,8 +34,7 @@ func (d KernelDesc) Segments() int {
 	if d.n == 0 {
 		return 0
 	}
-	c0 := d.packOff / d.p.chunkBytes
-	c1 := (d.packOff + d.n + d.p.chunkBytes - 1) / d.p.chunkBytes
+	c0, c1 := d.p.chunkSpan(d.packOff, d.n)
 	return d.p.index[c1] - d.p.index[c0]
 }
 

@@ -24,13 +24,8 @@ func (t *Datatype) Pack(dst, src mem.Ptr, count int) {
 		mem.Copy(dst, src, count*t.size)
 		return
 	}
-	pos := 0
-	for i := 0; i < count; i++ {
-		elem := i * t.Extent()
-		for _, s := range t.iov {
-			mem.Copy(dst.Add(pos), src.Add(elem+s.Off), s.Len)
-			pos += s.Len
-		}
+	if count > 0 {
+		t.walk(dst.Bytes(count*t.size), src, count, true)
 	}
 }
 
@@ -42,13 +37,8 @@ func (t *Datatype) Unpack(dst, src mem.Ptr, count int) {
 		mem.Copy(dst, src, count*t.size)
 		return
 	}
-	pos := 0
-	for i := 0; i < count; i++ {
-		elem := i * t.Extent()
-		for _, s := range t.iov {
-			mem.Copy(dst.Add(elem+s.Off), src.Add(pos), s.Len)
-			pos += s.Len
-		}
+	if count > 0 {
+		t.walk(src.Bytes(count*t.size), dst, count, false)
 	}
 }
 
@@ -65,13 +55,8 @@ func (t *Datatype) PackBytes(dst []byte, src mem.Ptr, count int) {
 		copy(dst[:count*t.size], src.Bytes(count*t.size))
 		return
 	}
-	pos := 0
-	for i := 0; i < count; i++ {
-		elem := i * t.Extent()
-		for _, s := range t.iov {
-			copy(dst[pos:pos+s.Len], src.Add(elem+s.Off).Bytes(s.Len))
-			pos += s.Len
-		}
+	if count > 0 {
+		t.walk(dst[:count*t.size], src, count, true)
 	}
 }
 
@@ -86,11 +71,44 @@ func (t *Datatype) UnpackBytes(dst mem.Ptr, src []byte, count int) {
 		copy(dst.Bytes(count*t.size), src[:count*t.size])
 		return
 	}
+	if count > 0 {
+		t.walk(src[:count*t.size], dst, count, false)
+	}
+}
+
+// hull returns the typed-offset envelope [lo, hi) of count > 0 elements:
+// element 0's lowest byte to element count-1's highest, extents being
+// non-negative. It is exactly the range a whole-message walk touches, so
+// resolving it once is the walk's bounds check.
+func (t *Datatype) hull(count int) (lo, hi int) {
+	return t.dataLo, (count-1)*t.Extent() + t.dataHi
+}
+
+// walk moves count > 0 elements between packed, which holds the whole
+// packed stream, and the typed buffer at typed. The typed side is
+// resolved once, as the elements' hull. Uniform row grids move as
+// strided rows; other maps segment by segment.
+func (t *Datatype) walk(packed []byte, typed mem.Ptr, count int, packing bool) {
+	lo, hi := t.hull(count)
+	b := typed.Add(lo).Bytes(hi - lo)
+	if sh, ok := t.Uniform2D(count); ok {
+		if packing {
+			mem.CopyRows(packed, sh.Width, b, sh.Pitch, sh.Width, sh.Rows)
+		} else {
+			mem.CopyRows(b, sh.Pitch, packed, sh.Width, sh.Width, sh.Rows)
+		}
+		return
+	}
 	pos := 0
 	for i := 0; i < count; i++ {
-		elem := i * t.Extent()
+		elem := i*t.Extent() - lo
 		for _, s := range t.iov {
-			copy(dst.Add(elem+s.Off).Bytes(s.Len), src[pos:pos+s.Len])
+			off := elem + s.Off
+			if packing {
+				copy(packed[pos:pos+s.Len], b[off:off+s.Len])
+			} else {
+				copy(b[off:off+s.Len], packed[pos:pos+s.Len])
+			}
 			pos += s.Len
 		}
 	}

@@ -7,6 +7,11 @@
 // precomputed []chunkSeg slice with zero allocations — the commit-time
 // canonicalization real CUDA-aware MPI implementations use (TEMPI,
 // arXiv:2012.14363).
+//
+// A range walk resolves its memory once: the packed side as the range
+// itself, the typed side as the union of its chunks' precomputed typed
+// hulls. That one mem bounds check per side replaces one per segment,
+// and the per-segment loop indexes plain slices.
 package datatype
 
 import (
@@ -34,8 +39,18 @@ type ChunkPlan struct {
 	chunkBytes int
 	total      int // count * size
 	segs       []chunkSeg
-	index      []int // segs[index[c]:index[c+1]] belong to chunk c
+	index      []int  // segs[index[c]:index[c+1]] belong to chunk c
+	hull       []span // hull[c] is the typed-offset envelope of chunk c
+
+	// rows is the plan's row grid when count elements form a Uniform2D
+	// shape whose rows never straddle a chunk boundary, else zero; the
+	// range walk then moves rows with mem.CopyRows instead of visiting
+	// segments.
+	rows Shape2D
 }
+
+// span is a half-open typed-offset interval [lo, hi).
+type span struct{ lo, hi int }
 
 type planKey struct {
 	count      int
@@ -74,6 +89,7 @@ func (t *Datatype) buildPlan(count, chunkBytes int) *ChunkPlan {
 	chunks := (total + chunkBytes - 1) / chunkBytes
 	p := &ChunkPlan{t: t, count: count, chunkBytes: chunkBytes, total: total}
 	p.index = make([]int, chunks+1)
+	p.hull = make([]span, chunks)
 	if total == 0 {
 		return p
 	}
@@ -111,11 +127,18 @@ func (t *Datatype) buildPlan(count, chunkBytes int) *ChunkPlan {
 		if end > total {
 			end = total
 		}
+		h := span{lo: p.segs[k].typedOff, hi: p.segs[k].typedOff + p.segs[k].len}
 		for k < len(p.segs) && p.segs[k].packOff < end {
+			h.lo = min(h.lo, p.segs[k].typedOff)
+			h.hi = max(h.hi, p.segs[k].typedOff+p.segs[k].len)
 			k++
 		}
+		p.hull[c] = h
 	}
 	p.index[chunks] = len(p.segs)
+	if sh, ok := t.Uniform2D(count); ok && sh.Rows > 1 && chunkBytes%sh.Width == 0 {
+		p.rows = sh
+	}
 	return p
 }
 
@@ -177,19 +200,58 @@ func (p *ChunkPlan) UnpackChunk(dst, src mem.Ptr, c int) {
 	p.copyRange(dst, src, c*p.chunkBytes, p.ChunkLen(c), false)
 }
 
+// chunkSpan returns the chunks [c0, c1) the chunk-aligned range
+// [packOff, packOff+n) covers.
+func (p *ChunkPlan) chunkSpan(packOff, n int) (c0, c1 int) {
+	return packOff / p.chunkBytes, (packOff + n + p.chunkBytes - 1) / p.chunkBytes
+}
+
+// rangeHull returns the typed-offset envelope of chunks [c0, c1): exactly
+// the typed bytes a walk over them touches, so resolving it is the walk's
+// whole bounds check — range-local, never wider than the chunks asked for.
+func (p *ChunkPlan) rangeHull(c0, c1 int) span {
+	h := p.hull[c0]
+	for _, g := range p.hull[c0+1 : c1] {
+		h.lo, h.hi = min(h.lo, g.lo), max(h.hi, g.hi)
+	}
+	return h
+}
+
 func (p *ChunkPlan) copyRange(a, b mem.Ptr, packOff, n int, packing bool) {
 	if n == 0 {
 		return
 	}
 	p.checkAligned(packOff, n)
-	c0 := packOff / p.chunkBytes
-	c1 := (packOff + n + p.chunkBytes - 1) / p.chunkBytes
-	for _, s := range p.segs[p.index[c0]:p.index[c1]] {
-		rel := s.packOff - packOff
+	packed, typed := a, b
+	if !packing {
+		packed, typed = b, a
+	}
+	p.walk(packed.Bytes(n), typed, packOff, packing)
+}
+
+// walk moves the chunk-aligned packed range starting at stream offset
+// packOff, held by packed, to or from the typed buffer at typed. The
+// typed side is resolved once, as the range's hull; the loops then index
+// plain slices.
+func (p *ChunkPlan) walk(packed []byte, typed mem.Ptr, packOff int, packing bool) {
+	c0, c1 := p.chunkSpan(packOff, len(packed))
+	h := p.rangeHull(c0, c1)
+	t := typed.Add(h.lo).Bytes(h.hi - h.lo)
+	if p.rows.Width > 0 {
+		w, pitch, rows := p.rows.Width, p.rows.Pitch, len(packed)/p.rows.Width
 		if packing {
-			mem.Copy(a.Add(rel), b.Add(s.typedOff), s.len)
+			mem.CopyRows(packed, w, t, pitch, w, rows)
 		} else {
-			mem.Copy(a.Add(s.typedOff), b.Add(rel), s.len)
+			mem.CopyRows(t, pitch, packed, w, w, rows)
+		}
+		return
+	}
+	for _, s := range p.segs[p.index[c0]:p.index[c1]] {
+		rel, off := s.packOff-packOff, s.typedOff-h.lo
+		if packing {
+			copy(packed[rel:rel+s.len], t[off:off+s.len])
+		} else {
+			copy(t[off:off+s.len], packed[rel:rel+s.len])
 		}
 	}
 }

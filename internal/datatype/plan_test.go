@@ -212,3 +212,40 @@ func TestChunkPlanAlignment(t *testing.T) {
 	}()
 	plan.PackRange(h.Base().Add(v.Span(4)), h.Base(), 8, 16)
 }
+
+// BenchmarkChunkPlanWalk times the steady-state chunk walk, one pack and
+// one unpack of every chunk per iteration, over the perfbench row shapes
+// at the transport's 64 KiB chunk: fine (8 B rows at 32 B pitch, the
+// pack-walk-bound case) and coarse (1 KiB rows at 2 KiB pitch). It reports
+// ns per segment, the cost the resolve-once walk is measured by.
+func BenchmarkChunkPlanWalk(b *testing.B) {
+	for _, sh := range []struct {
+		name         string
+		width, pitch int
+	}{{"fine", 8, 32}, {"coarse", 1 << 10, 2 << 10}} {
+		b.Run(sh.name, func(b *testing.B) {
+			const packed = 256 << 10
+			dt, err := Vector(packed/sh.width, sh.width, sh.pitch, Byte)
+			if err != nil {
+				b.Fatal(err)
+			}
+			dt.MustCommit()
+			plan := dt.ChunkPlan(1, 64<<10)
+			span := dt.Span(1)
+			typed := mem.NewHostSpace("typed", span).Base()
+			stream := mem.NewHostSpace("packed", packed).Base()
+			mem.Fill(typed, span, func(i int) byte { return byte(i) })
+			segs := totalSegs(plan)
+			b.SetBytes(2 * packed)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for c := 0; c < plan.Chunks(); c++ {
+					off := c * plan.ChunkBytes()
+					plan.PackChunk(stream.Add(off), typed, c)
+					plan.UnpackChunk(typed, stream.Add(off), c)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(2*segs*b.N), "ns/seg")
+		})
+	}
+}

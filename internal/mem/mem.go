@@ -140,6 +140,11 @@ func Copy(dst, src Ptr, n int) {
 // bytes each, where consecutive rows are dpitch (resp. spitch) bytes apart
 // in the destination (resp. source). Pitches must be ≥ width, matching the
 // cudaMemcpy2D contract.
+//
+// Each side is resolved once, as the (height-1)*pitch+width bytes from the
+// first row's start to the last row's end: the exact envelope of the bytes
+// moved, so the call panics exactly when some row lies outside its space.
+// An empty rectangle touches nothing and is a no-op.
 func Copy2D(dst Ptr, dpitch int, src Ptr, spitch, width, height int) {
 	if width < 0 || height < 0 {
 		panic("mem: negative 2D copy dimensions")
@@ -147,8 +152,31 @@ func Copy2D(dst Ptr, dpitch int, src Ptr, spitch, width, height int) {
 	if dpitch < width || spitch < width {
 		panic(fmt.Sprintf("mem: pitch smaller than width (dpitch=%d spitch=%d width=%d)", dpitch, spitch, width))
 	}
-	for r := 0; r < height; r++ {
-		copy(dst.Add(r*dpitch).Bytes(width), src.Add(r*spitch).Bytes(width))
+	if width == 0 || height == 0 {
+		return
+	}
+	CopyRows(dst.Bytes((height-1)*dpitch+width), dpitch,
+		src.Bytes((height-1)*spitch+width), spitch, width, height)
+}
+
+// CopyRows is the strided row move behind Copy2D on resolved memory: row r
+// of width bytes goes from src[r*spitch:] to dst[r*dpitch:]. Both slices
+// must span (rows-1)*pitch+width bytes; callers bounds-check once when they
+// resolve them, so the loop indexes plain slices. An 8-byte row moves as one
+// fixed-size array load and store instead of a memmove call, which dominates
+// the cost of such narrow rows.
+func CopyRows(dst []byte, dpitch int, src []byte, spitch, width, rows int) {
+	d, s := 0, 0
+	if width == 8 {
+		for r := 0; r < rows; r++ {
+			*(*[8]byte)(dst[d:]) = *(*[8]byte)(src[s:])
+			d, s = d+dpitch, s+spitch
+		}
+		return
+	}
+	for r := 0; r < rows; r++ {
+		copy(dst[d:d+width], src[s:s+width])
+		d, s = d+dpitch, s+spitch
 	}
 }
 

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -159,9 +160,77 @@ func TestCopy2DNegativeDims(t *testing.T) {
 	Copy2D(s.Base(), 8, s.Base(), 8, 4, -1)
 }
 
+// TestCopy2DZeroRows pins that an empty rectangle resolves no memory:
+// with height 0 the envelope (height-1)*pitch+width would be negative,
+// and with width 0 every row would start past the space's end, yet
+// neither touches a byte, so neither may panic.
 func TestCopy2DZeroRows(t *testing.T) {
 	s := NewHostSpace("s", 8)
-	Copy2D(s.Base(), 8, s.Base(), 8, 4, 0) // no-op, must not panic
+	Copy2D(s.Base(), 8, s.Base(), 8, 4, 0)
+	end := s.Base().Add(8)
+	Copy2D(end, 64, end, 64, 8, 0)
+	Copy2D(end, 64, end, 64, 0, 5)
+	Copy2D(s.Base(), 4, s.Base().Add(4), 100, 0, 3)
+}
+
+// TestCopy2DLastRowBounds pins Copy2D's bounds contract on each side: a
+// last row ending exactly at the end of its space moves, one ending a byte
+// past it panics with mem's bounds message.
+func TestCopy2DLastRowBounds(t *testing.T) {
+	const width, pitch, height = 4, 8, 3
+	envelope := (height-1)*pitch + width
+	s := NewHostSpace("s", 64)
+	other := NewHostSpace("o", 64)
+	Fill(s.Base(), 64, func(i int) byte { return byte(i) })
+	fit := s.Base().Add(64 - envelope)
+	Copy2D(other.Base(), pitch, fit, pitch, width, height)
+	for r := 0; r < height; r++ {
+		if !Equal(other.Base().Add(r*pitch), fit.Add(r*pitch), width) {
+			t.Fatalf("row %d not copied", r)
+		}
+	}
+	Copy2D(fit, pitch, other.Base(), pitch, width, height)
+
+	over := s.Base().Add(64 - envelope + 1)
+	for name, f := range map[string]func(){
+		"source":      func() { Copy2D(other.Base(), pitch, over, pitch, width, height) },
+		"destination": func() { Copy2D(over, pitch, other.Base(), pitch, width, height) },
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "out of bounds") {
+					t.Errorf("%s overhanging by one byte: panic %q, want mem's out-of-bounds message", name, msg)
+				}
+			}()
+			f()
+		}()
+	}
+}
+
+// TestCopyRowsWidths checks the fixed-size 8-byte row move and the general
+// path against a byte-by-byte reference.
+func TestCopyRowsWidths(t *testing.T) {
+	for _, width := range []int{1, 4, 7, 8, 16, 21} {
+		const rows, spitch, dpitch = 5, 40, 24
+		src := make([]byte, (rows-1)*spitch+width)
+		for i := range src {
+			src[i] = byte(i*5 + 1)
+		}
+		dst := make([]byte, (rows-1)*dpitch+width)
+		CopyRows(dst, dpitch, src, spitch, width, rows)
+		for r := 0; r < rows; r++ {
+			for i := 0; i < dpitch && r*dpitch+i < len(dst); i++ {
+				want := byte(0)
+				if i < width {
+					want = src[r*spitch+i]
+				}
+				if got := dst[r*dpitch+i]; got != want {
+					t.Fatalf("width %d row %d byte %d = %d, want %d", width, r, i, got, want)
+				}
+			}
+		}
+	}
 }
 
 // Property: Copy2D into a contiguous destination followed by Copy2D back

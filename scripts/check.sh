@@ -5,7 +5,21 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-echo "== gofmt"
+# stage prints the elapsed seconds of the stage before it (informational
+# stage timing; nothing gates on it) and the header of the next one.
+stage_name=""
+stage_start=$(date +%s)
+stage() {
+    now=$(date +%s)
+    if [ -n "$stage_name" ]; then
+        echo "   ($stage_name: $((now - stage_start)) s)"
+    fi
+    stage_name=$1
+    stage_start=$now
+    [ "$1" = "done" ] || echo "== $1"
+}
+
+stage "gofmt"
 # Analyzer testdata is excluded: those trees are fixtures, not sources.
 unformatted=$(gofmt -l . | grep -v '/testdata/' || true)
 if [ -n "$unformatted" ]; then
@@ -14,13 +28,13 @@ if [ -n "$unformatted" ]; then
     exit 1
 fi
 
-echo "== go build"
+stage "go build"
 go build ./...
 
-echo "== go vet"
+stage "go vet"
 go vet ./...
 
-echo "== mv2lint"
+stage "mv2lint"
 # The JSON report is written even on a clean run so CI always has an
 # artifact; set MV2LINT_JSON/MV2LINT_SARIF to keep the reports, and under
 # GitHub Actions findings double as inline annotations.
@@ -37,16 +51,24 @@ if [ -z "${MV2LINT_JSON:-}" ]; then
     rm -f "$lint_json"
 fi
 
-echo "== go test -race"
+stage "go test -race"
 go test -race ./...
 
-echo "== race-mode benchmark smoke"
+stage "fuzz"
+# A short native fuzz pass: every payload walker (chunk-plan ranges, the
+# byte-slice and kernel-descriptor walks, whole-message pack/unpack)
+# against the naive one-copy-per-segment reference walker. A failing
+# input is written under internal/datatype/testdata/fuzz for replay.
+out=$(go test -run '^$' -fuzz FuzzChunkPlan -fuzztime 10s ./internal/datatype 2>&1) || {
+    echo "$out"; echo "FuzzChunkPlan found a walker that disagrees with the reference"; exit 1; }
+
+stage "race-mode benchmark smoke"
 # Each benchmark body runs once under the race detector: catches data
 # races in pipeline setup paths that the unit tests' smaller
 # configurations miss. -benchtime 1x keeps it a smoke test, not a timing.
 go test -race -short -run '^$' -bench . -benchtime 1x . > /dev/null
 
-echo "== build trace tools"
+stage "build trace tools"
 # The trace, engine-parity, pack-mode, nic, multi-rail, auto-pack and
 # pipedoctor gates below run these three commands about twenty times;
 # build each once.
@@ -59,7 +81,7 @@ pt="$bin/pipetrace"
 tc="$bin/tracecheck"
 doctor="$bin/pipedoctor"
 
-echo "== trace gate"
+stage "trace gate"
 # One traced pipeline run must produce a valid, well-ordered Chrome trace.
 tracefile="${TRACE_OUT:-$(mktemp /tmp/mv2sim-trace.XXXXXX.json)}"
 "$pt" -chrome "$tracefile" > /dev/null
@@ -68,7 +90,7 @@ if [ -z "${TRACE_OUT:-}" ]; then
     rm -f "$tracefile"
 fi
 
-echo "== engine parity gate"
+stage "engine parity gate"
 # The parallel engine must be byte-identical to the serial one: same
 # Chrome trace, event for event and timestamp for timestamp, across the
 # pack modes and rail counts that exercise every pipeline stage. This is
@@ -85,13 +107,13 @@ for mode in memcpy2d auto kernel nic; do
     done
 done
 
-echo "== parallel-engine race tests"
+stage "parallel-engine race tests"
 # The cluster-heavy packages again, now with every task body dispatched
 # on the worker pool and the race detector watching the joins.
 MV2SIM_ENGINE=parallel go test -race -count=1 \
     ./internal/core ./internal/halo3d ./internal/transpose ./internal/shoc
 
-echo "== pack-mode gate"
+stage "pack-mode gate"
 # -packmode memcpy2d must reproduce the pre-PackMode pipeline byte for
 # byte (the committed golden), and the auto/kernel modes must emit valid,
 # well-ordered traces.
@@ -108,7 +130,7 @@ for mode in auto kernel nic; do
     rm -f "$mt"
 done
 
-echo "== nic pack-mode gate"
+stage "nic pack-mode gate"
 # The NIC-offloaded engine must stay byte-deterministic (two back-to-back
 # runs produce identical traces, with the SGE gathers on the nicEngine
 # track), and its shortened gather→wire→scatter pipeline must still
@@ -124,7 +146,7 @@ grep -q 'nicEngine' "$na" || { echo "-packmode nic trace has no nicEngine track"
 rm -f "$na" "$nb"
 "$doctor" -msg $((4<<20)) -packmode nic > /dev/null
 
-echo "== multi-rail trace gate"
+stage "multi-rail trace gate"
 # The striped pipeline must stay deterministic and correctly named: at each
 # rail count the trace must be well-ordered with dense per-rail tracks, and
 # byte-identical across two back-to-back runs.
@@ -138,7 +160,7 @@ for rails in 2 4; do
     rm -f "$ra" "$rb"
 done
 
-echo "== auto-pack trace validation gate"
+stage "auto-pack trace validation gate"
 # tracecheck's containment and per-track monotonicity checks over the
 # striped auto-pack pipeline (rails=2, packmode=auto) — the configuration
 # that exercises both the kernel pack engine and rail-suffixed tracks.
@@ -147,7 +169,7 @@ at=$(mktemp /tmp/mv2sim-autorails.XXXXXX.json)
 "$tc" "$at"
 rm -f "$at"
 
-echo "== pipedoctor gate"
+stage "pipedoctor gate"
 # The critical-path doctor on the Figure 5(b) 4 MB point (the pinned
 # memcpy2d pipeline): the stall attribution must sum exactly to the wall
 # clock, the flag state must be consistent with the measured divergence,
@@ -155,7 +177,7 @@ echo "== pipedoctor gate"
 pd="${PIPEDOCTOR_OUT:-$(mktemp /tmp/mv2sim-critpath.XXXXXX.json)}"
 "$doctor" -msg $((4<<20)) -packmode memcpy2d -strict -bench "$pd" > /dev/null
 
-echo "== load harness gate"
+stage "load harness gate"
 # The open-loop load sweep must be byte-reproducible: regenerating
 # BENCH_load.json with the committed default configuration (same seed →
 # same arrival schedules → same virtual timeline) must match the
@@ -177,7 +199,7 @@ if go run ./cmd/perfstore gate -store "$ls" -self -tol 5 > /dev/null 2>&1; then
 fi
 rm -f "$ls"
 
-echo "== dashboard endpoint gate"
+stage "dashboard endpoint gate"
 # Every dashboard JSON endpoint must stay byte-deterministic: snapshot
 # the committed fixture trace + fixture store + committed load sweep (no
 # HTTP involved) and diff each endpoint document against its committed
@@ -200,7 +222,7 @@ for g in scripts/testdata/dashboard_golden/*.json; do
 done
 rm -rf "$dd"
 
-echo "== perf trajectory gate"
+stage "perf trajectory gate"
 # The trajectory gates replace hand-pinned regression constants: virtual
 # wall-clock, pack and critpath metrics are held to within 5% of the
 # best value ever recorded in the append-only store.
@@ -221,4 +243,5 @@ if [ -z "${PIPEDOCTOR_OUT:-}" ]; then
     rm -f "$pd"
 fi
 
+stage done
 echo "OK"
