@@ -17,6 +17,7 @@ import (
 	"mv2sim/internal/mem"
 	"mv2sim/internal/mpi"
 	"mv2sim/internal/obs"
+	"mv2sim/internal/sim"
 )
 
 var updateFingerprints = flag.Bool("update", false, "rewrite testdata/variant_fingerprints.txt")
@@ -55,6 +56,7 @@ func fingerprintShapes(t *testing.T) []fpShape {
 		{"rows1K", must(datatype.Vector(160, 1024, 2048, datatype.Byte))}, // 160 KiB of 1 KiB rows
 		{"contig", must(datatype.Contiguous(144<<10, datatype.Byte))},     // no pack stage
 		{"indexed", must(datatype.Indexed(bl, displ, datatype.Float32))},  // irregular
+		{"eager4B", must(datatype.Vector(2048, 4, 16, datatype.Byte))},    // 8 KiB: eager staging
 	}
 }
 
@@ -85,10 +87,16 @@ var fpModePairs = [][2]core.PackMode{
 	{core.PackModeMemcpy2D, core.PackModeNic},
 }
 
+// fpBusy is how long an application kernel holds each rank's compute
+// engine in the busy column: far past the end of any transfer, so every
+// auto decision sees foreign compute.
+const fpBusy = 2 * sim.Millisecond
+
 // fingerprint runs one configuration and renders its behavioural
 // fingerprint: digests of the Chrome trace and the Figure 3 table, the
-// virtual end time, byte-exact delivery and leak-freedom.
-func fingerprint(t *testing.T, v fpVariant, pm, um core.PackMode, sh fpShape, rails int, bidi bool) string {
+// virtual end time, byte-exact delivery and leak-freedom. busy launches an
+// application kernel on every rank before the transfer is posted.
+func fingerprint(t *testing.T, v fpVariant, pm, um core.PackMode, sh fpShape, rails int, bidi, busy bool) string {
 	chrome := obs.NewChromeTracer()
 	table := &core.PipelineTrace{}
 	cfg := cluster.Config{
@@ -110,6 +118,9 @@ func fingerprint(t *testing.T, v fpVariant, pm, um core.PackMode, sh fpShape, ra
 	runErr := cl.Run(func(n *cluster.Node) {
 		r := n.Rank
 		me, peer := r.Rank(), 1-r.Rank()
+		if busy {
+			n.Ctx.LaunchKernel(r.Proc(), n.Ctx.NewStream(), 1, float64(fpBusy/sim.Nanosecond), nil)
+		}
 		src, dst := n.Ctx.MustMalloc(span), n.Ctx.MustMalloc(span)
 		mem.Fill(src, span, seed(me))
 		var reqs []*mpi.Request
@@ -154,6 +165,9 @@ func fingerprint(t *testing.T, v fpVariant, pm, um core.PackMode, sh fpShape, ra
 	if bidi {
 		dir = "bidi"
 	}
+	if busy {
+		dir += "+busy"
+	}
 	return fmt.Sprintf("%s/%v-%v/r%d/%s/%s trace=%x table=%x end=%d exact=%v leakfree=%v",
 		v.name, pm, um, rails, dir, sh.name,
 		sha256.Sum256(tr.Bytes()), sha256.Sum256([]byte(table.String())),
@@ -165,7 +179,9 @@ func fingerprint(t *testing.T, v fpVariant, pm, um core.PackMode, sh fpShape, ra
 // table, end time, delivery and cleanup — across variant × pack-mode
 // pair × shape × direction (one-way and bidirectional). The rail count
 // alternates across shapes and mode pairs, so every variant × mode pair
-// and every variant × shape meets both rail counts. Run
+// and every variant × shape meets both rail counts. The pairs that
+// contain auto run once more with application compute occupying both
+// GPUs (the busy column), pinning auto's contention fallback. Run
 // with -update to rewrite the digest file after an intended change.
 func TestVariantFingerprints(t *testing.T) {
 	shapes := fingerprintShapes(t)
@@ -175,7 +191,12 @@ func TestVariantFingerprints(t *testing.T) {
 			for si, sh := range shapes {
 				rails := 1 + (pi+si)%2
 				for _, bidi := range []bool{false, true} {
-					got = append(got, fingerprint(t, v, pair[0], pair[1], sh, rails, bidi))
+					got = append(got, fingerprint(t, v, pair[0], pair[1], sh, rails, bidi, false))
+				}
+				if pair[0] == core.PackModeAuto || pair[1] == core.PackModeAuto {
+					for _, bidi := range []bool{false, true} {
+						got = append(got, fingerprint(t, v, pair[0], pair[1], sh, rails, bidi, true))
+					}
 				}
 			}
 		}
