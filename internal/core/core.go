@@ -177,42 +177,19 @@ func (t *Transport) Node(r *mpi.Rank) *NodeGPU {
 	return n
 }
 
-// planFor analyzes the request's datatype once: either a uniform 2D shape
-// (answered analytically from the shape canonicalized at Commit) or the
-// generic kernel path, which fetches the datatype's cached chunk-aligned
-// plan so per-chunk packing re-derives nothing. For uniform shapes it also
-// resolves each side's PackMode into a concrete engine choice — made once
-// per transfer, before any stage is issued, so the whole pipeline sees one
-// consistent decision.
+// plan is the request's datatype analysed once per transfer: either a
+// uniform 2D shape (answered analytically from the shape canonicalized at
+// Commit) or the generic kernel path, which fetches the datatype's cached
+// chunk-aligned plan so per-chunk packing re-derives nothing. Each side's
+// PackMode is resolved into its side record here, before any stage is
+// issued.
 type plan struct {
-	size        int
-	shape       datatype.Shape2D
-	uniform     bool
-	contig      bool       // single contiguous region: no pack/unpack stage at all
-	packEng     packEngine // stage-1 pipeline engine (engineNic skips the stage)
-	unpackEng   packEngine // stage-5 pipeline engine
-	packDev     packEngine // device fallback where engineNic has no wire (eager, self-send)
-	unpackDev   packEngine
-	packTailCut int                 // packed offset where the pack side's tail falls back to memcpy2D (0: never)
-	unpackTail  int                 // same for the unpack side
-	cp          *datatype.ChunkPlan // set whenever either side leaves the copy engine
-}
-
-// packChunkEngine is the device engine packChunk actually runs: the
-// pipeline engine, with engineNic resolved to its device fallback —
-// packChunk only runs where there is no wire to offload to.
-func (pl plan) packChunkEngine() packEngine {
-	if pl.packEng == engineNic {
-		return pl.packDev
-	}
-	return pl.packEng
-}
-
-func (pl plan) unpackChunkEngine() packEngine {
-	if pl.unpackEng == engineNic {
-		return pl.unpackDev
-	}
-	return pl.unpackEng
+	size         int
+	shape        datatype.Shape2D
+	uniform      bool
+	contig       bool // single contiguous region: no pack/unpack stage at all
+	pack, unpack side
+	cp           *datatype.ChunkPlan // set whenever either side leaves the copy engine
 }
 
 // sgRange lowers the packed byte range [off, off+n) of the request's
@@ -233,99 +210,59 @@ func (t *Transport) planFor(req *mpi.Request) plan {
 		uniform: uniform,
 		contig:  uniform && shape.Rows == 1,
 	}
-	if pl.size == 0 {
-		return pl
-	}
-	if pl.contig {
-		// No pack/unpack stage exists; the engines matter only for an
-		// explicit nic pin, which routes the contiguous chunks through
-		// the SGE unit as one-entry descriptors. Auto never picks the
-		// NIC here — there is nothing to gather.
-		if t.cfg.PackMode == PackModeNic {
-			pl.packEng, pl.packDev = engineNic, engineCopy
-		}
-		if t.cfg.UnpackMode == PackModeNic {
-			pl.unpackEng, pl.unpackDev = engineNic, engineCopy
-		}
-		return pl
-	}
-	blockSize := req.Rank().World().Config().BlockSize
-	n1 := t.Node(req.Rank())
-	ibm := req.Rank().HCA().Model()
-	if !uniform {
-		// Irregular types have no 2D shape the copy engine could express:
-		// each side packs by kernel or on the NIC.
+	r := req.Rank()
+	blockSize := r.World().Config().BlockSize
+	packs := pl.size > 0 && !pl.contig
+	if packs && !uniform {
 		pl.cp = dt.ChunkPlan(count, blockSize)
-		pl.packEng = t.irregularEngine(t.cfg.PackMode, n1, ibm, pl.cp)
-		pl.unpackEng = t.irregularEngine(t.cfg.UnpackMode, n1, ibm, pl.cp)
-		pl.packDev, pl.unpackDev = engineKernel, engineKernel
-		return pl
 	}
-	pl.packEng, pl.packDev = t.resolveEngine(t.cfg.PackMode, n1, ibm, shape, pl.size, blockSize)
-	pl.unpackEng, pl.unpackDev = t.resolveEngine(t.cfg.UnpackMode, n1, ibm, shape, pl.size, blockSize)
-	if pl.packEng != engineCopy || pl.unpackEng != engineCopy {
+	n1 := t.Node(r)
+	m, ibm, foreign := n1.Ctx.Model(), r.HCA().Model(), n1.foreignCompute()
+	pl.pack = pl.resolve(m, ibm, t.cfg.PackMode, blockSize, foreign)
+	pl.unpack = pl.resolve(m, ibm, t.cfg.UnpackMode, blockSize, foreign)
+	pl.pack.st = t.stagesFor(r, pl, pl.pack.eng)
+	pl.unpack.st = t.stagesFor(r, pl, pl.unpack.eng)
+	if packs && pl.cp == nil && (pl.pack.eng != PackModeMemcpy2D || pl.unpack.eng != PackModeMemcpy2D) {
 		pl.cp = dt.ChunkPlan(count, blockSize)
-		cut := kernelTailCut(n1.Ctx.Model(), shape, pl.size, blockSize)
-		if pl.packChunkEngine() == engineKernel {
-			pl.packTailCut = cut
-		}
-		if pl.unpackChunkEngine() == engineKernel {
-			pl.unpackTail = cut
-		}
 	}
 	return pl
 }
 
-// kernelTailCut returns the packed-byte offset at which a kernel-packed
-// uniform transfer's final short chunk should fall back to the copy
-// engine, or 0 to keep every chunk on the kernel. Steady-state chunks
-// carry blockSize/width rows — deep enough past the measured crossover
-// to amortize the kernel's launch premium — but the tail chunk carries
-// only size%blockSize bytes, which can land below the break-even row
-// count where memcpy2D wins. The split is only legal when chunk
-// boundaries are row-aligned (blockSize a multiple of the row width),
-// because the copy-engine path requires row-aligned ranges; irregular
-// types never reach here.
-func kernelTailCut(m *gpu.CostModel, shape datatype.Shape2D, size, blockSize int) int {
-	if size <= blockSize || blockSize%shape.Width != 0 {
-		return 0
-	}
-	tail := size % blockSize
-	tailRows := tail / shape.Width
-	if tailRows == 0 {
-		return 0
-	}
-	if m.KernelPackBeatsCopy(tailRows, shape.Width, shape.Pitch) {
-		return 0
-	}
-	return size - tail
+// foreignCompute reports whether application compute holds or queues on
+// EngineKernel. The transport's own pack kernels in flight (kernOps) mean
+// the engine business is pipeline traffic, e.g. the reverse direction of
+// a bidirectional exchange, which interleaves fine at microsecond
+// granularity; application kernels hold the engine for whole compute
+// phases.
+func (n1 *NodeGPU) foreignCompute() bool {
+	ke := n1.Ctx.Device().Engine(gpu.EngineKernel)
+	return n1.kernOps == 0 && (ke.InUse() > 0 || ke.QueueLen() > 0)
 }
 
-// packChunk enqueues the device-side pack of packed-byte range
-// [off, off+n) from the user buffer into dst (contiguous device memory) and
-// returns the completion event. p may be nil in engine context. sp is the
-// enclosing stage span and chunk the pipeline chunk index; kernel-path ops
-// are traced under them.
-func (t *Transport) packChunk(p *sim.Proc, n1 *NodeGPU, pl plan, req *mpi.Request, sp obs.Span, chunk int, dst mem.Ptr, off, n int) *sim.Event {
-	if pl.uniform && (pl.packChunkEngine() != engineKernel || (pl.packTailCut > 0 && off >= pl.packTailCut)) {
-		// A kernel-mode transfer still lands here for its final short
-		// chunk when that tail is below the kernel/memcpy2D crossover.
-		return pl.gatherRows(p, n1.Ctx, dst, req, off, n, n1.packStream, sp, chunk)
+// deviceChunk enqueues one side's device pass over packed range
+// [off, off+n) and returns its completion event: the sender's pack from
+// the user buffer into tbuf (contiguous device memory), or the receiver's
+// unpack from tbuf into the user buffer. p may be nil in engine context.
+// sp is the enclosing stage span and chunk the pipeline chunk index;
+// kernel-path ops are traced under them.
+func (pl plan) deviceChunk(p *sim.Proc, n1 *NodeGPU, pack bool, req *mpi.Request, sp obs.Span, chunk int, tbuf mem.Ptr, off, n int) *sim.Event {
+	sd, s := pl.unpack, n1.unpackStream
+	if pack {
+		sd, s = pl.pack, n1.packStream
 	}
-	// Kernel path: a gather kernel walks the cached chunk plan's segments
-	// on the compute engine (callers keep off/n chunk-aligned).
-	d := pl.cp.Kernel(off, n)
-	return n1.launch(p, n1.packStream, sp, chunk, d, func() { d.Pack(dst, req.Buf()) })
-}
-
-// unpackChunk is the inverse: scatter packed range [off, off+n) from src
-// (contiguous device memory) into the user buffer.
-func (t *Transport) unpackChunk(p *sim.Proc, n1 *NodeGPU, pl plan, req *mpi.Request, sp obs.Span, chunk int, src mem.Ptr, off, n int) *sim.Event {
-	if pl.uniform && (pl.unpackChunkEngine() != engineKernel || (pl.unpackTail > 0 && off >= pl.unpackTail)) {
-		return pl.scatterRows(p, n1.Ctx, req, src, off, n, n1.unpackStream, sp, chunk)
+	if sd.dev == PackModeMemcpy2D || (sd.tailCut > 0 && off >= sd.tailCut) {
+		return pl.moveRows(p, n1.Ctx, pack, tbuf, req, off, n, s, sp, chunk)
 	}
+	// Kernel path: a gather/scatter kernel walks the cached chunk plan's
+	// segments on the compute engine (callers keep off/n chunk-aligned).
 	d := pl.cp.Kernel(off, n)
-	return n1.launch(p, n1.unpackStream, sp, chunk, d, func() { d.Unpack(req.Buf(), src) })
+	return n1.launch(p, s, sp, chunk, d, func() {
+		if pack {
+			d.Pack(tbuf, req.Buf())
+		} else {
+			d.Unpack(req.Buf(), tbuf)
+		}
+	})
 }
 
 // launch enqueues a pack or unpack kernel for descriptor d, counted in
@@ -337,18 +274,17 @@ func (n1 *NodeGPU) launch(p *sim.Proc, s *cuda.Stream, sp obs.Span, chunk int, d
 	return ev
 }
 
-// gatherRows enqueues one 2D copy of the rows holding packed range
-// [off, off+n) of a uniform request into contiguous dst: the copy-engine
-// pack, and the host-staged D2H hop. scatterRows is its inverse. Both
-// need row-aligned ranges.
-func (pl plan) gatherRows(p *sim.Proc, ctx *cuda.Ctx, dst mem.Ptr, req *mpi.Request, off, n int, s *cuda.Stream, sp obs.Span, chunk int) *sim.Event {
+// moveRows enqueues one 2D copy of the rows holding packed range
+// [off, off+n) of a uniform request: gathered into contiguous tbuf when
+// pack is set (the copy-engine pack, and the host-staged D2H hop), else
+// scattered out of it. The range must be row-aligned.
+func (pl plan) moveRows(p *sim.Proc, ctx *cuda.Ctx, pack bool, tbuf mem.Ptr, req *mpi.Request, off, n int, s *cuda.Stream, sp obs.Span, chunk int) *sim.Event {
 	w := pl.rowWidth(off, n)
-	return ctx.Memcpy2DAsyncTask(p, dst, w, req.Buf().Add(pl.shape.Off+off/w*pl.shape.Pitch), pl.shape.Pitch, w, n/w, s, sp, chunk)
-}
-
-func (pl plan) scatterRows(p *sim.Proc, ctx *cuda.Ctx, req *mpi.Request, src mem.Ptr, off, n int, s *cuda.Stream, sp obs.Span, chunk int) *sim.Event {
-	w := pl.rowWidth(off, n)
-	return ctx.Memcpy2DAsyncTask(p, req.Buf().Add(pl.shape.Off+off/w*pl.shape.Pitch), pl.shape.Pitch, src, w, w, n/w, s, sp, chunk)
+	user := req.Buf().Add(pl.shape.Off + off/w*pl.shape.Pitch)
+	if pack {
+		return ctx.Memcpy2DAsyncTask(p, tbuf, w, user, pl.shape.Pitch, w, n/w, s, sp, chunk)
+	}
+	return ctx.Memcpy2DAsyncTask(p, user, pl.shape.Pitch, tbuf, w, w, n/w, s, sp, chunk)
 }
 
 func (pl plan) rowWidth(off, n int) int {
@@ -378,7 +314,7 @@ func (t *Transport) StageToHost(req *mpi.Request, deliver func(packed []byte)) {
 		var tbuf mem.Ptr
 		if !pl.contig {
 			tbuf = n1.Ctx.MustMalloc(size)
-			p.Wait(t.packChunk(p, n1, pl, req, req.ObsSpan(), -1, tbuf, 0, size))
+			p.Wait(pl.deviceChunk(p, n1, true, req, req.ObsSpan(), -1, tbuf, 0, size))
 		} else {
 			tbuf = req.Buf().Add(pl.shape.Off)
 		}
@@ -488,7 +424,7 @@ func (t *Transport) DeliverFromHost(req *mpi.Request, packed []byte) {
 			n1.RecvPool.Put(bufs[1])
 		}
 		if !pl.contig {
-			p.Wait(t.unpackChunk(p, n1, pl, req, req.ObsSpan(), -1, tbuf, 0, size))
+			p.Wait(pl.deviceChunk(p, n1, false, req, req.ObsSpan(), -1, tbuf, 0, size))
 			mustFree(n1.Ctx, tbuf)
 		}
 		req.CompleteRecv()
@@ -519,13 +455,13 @@ type stages struct {
 // side's engine: GPUDirect unless the nic engine owns the side (the SGE
 // unit already reads device memory in place), then host-staged (uniform
 // rows that tile the block), then nic, then the paper's five stages.
-func (t *Transport) stagesFor(r *mpi.Rank, pl plan, eng packEngine) stages {
+func (t *Transport) stagesFor(r *mpi.Rank, pl plan, eng PackMode) stages {
 	switch {
-	case r.HCA().Model().AllowDeviceRegistration && eng != engineNic:
+	case r.HCA().Model().AllowDeviceRegistration && eng != PackModeNic:
 		return stages{device: !pl.contig}
 	case t.cfg.HostStagedPack && pl.uniform && !pl.contig && r.World().Config().BlockSize%pl.shape.Width == 0:
-		return stages{hop: true, rows: true, sge: eng == engineNic}
-	case eng == engineNic:
+		return stages{hop: true, rows: true, sge: eng == PackModeNic}
+	case eng == PackModeNic:
 		return stages{sge: true}
 	}
 	return stages{device: !pl.contig, hop: true}
@@ -535,9 +471,9 @@ func (t *Transport) stagesFor(r *mpi.Rank, pl plan, eng packEngine) stages {
 // src when sge is set, else a plain RDMA write of its contiguous bytes.
 func post(r *mpi.Rank, req *mpi.Request, slot mpi.Slot, sge bool, src ib.SGDesc, rail int, sp obs.Span) *sim.Event {
 	if sge {
-		return r.RDMANicChunkRailSpan(req, slot, src, rail, sp)
+		return r.RDMANicChunk(req, slot, src, rail, sp)
 	}
-	return r.RDMAChunkRailSpan(req, slot, src.Buf, src.N, rail, sp)
+	return r.RDMAChunk(req, slot, src.Buf, src.N, rail, sp)
 }
 
 // packStep is one issued stage-1 pack: its completion covers packed bytes
@@ -555,7 +491,7 @@ func (t *Transport) StartRendezvousSend(req *mpi.Request) {
 	r := req.Rank()
 	n1 := t.Node(r)
 	pl := t.planFor(req)
-	st := t.stagesFor(r, pl, pl.packEng)
+	st := pl.pack.st
 	r.SendRTS(req)
 	e := r.World().Engine()
 	e.Spawn(fmt.Sprintf("rank%d.gpusend", r.Rank()), func(p *sim.Proc) {
@@ -574,7 +510,7 @@ func (t *Transport) StartRendezvousSend(req *mpi.Request) {
 			//lint:ignore allocfree freed at the end of this function under the same st.device guard that allocated it; the flow analysis is path-insensitive and cannot correlate the branches
 			src = n1.Ctx.MustMalloc(size)
 			step := size
-			if pl.uniform && pl.packChunkEngine() != engineKernel {
+			if pl.pack.dev == PackModeMemcpy2D {
 				step = max(1, blockSize/pl.shape.Width) * pl.shape.Width
 			} else if size > blockSize {
 				step = blockSize
@@ -583,7 +519,7 @@ func (t *Transport) StartRendezvousSend(req *mpi.Request) {
 			for off := 0; off < size; off += step {
 				n := min(step, size-off)
 				sp := h.StartChild(parent, obs.KindPack, n1.tracks.pack, len(packs), n)
-				ev := t.packChunk(p, n1, pl, req, sp, len(packs), src.Add(off), off, n)
+				ev := pl.deviceChunk(p, n1, true, req, sp, len(packs), src.Add(off), off, n)
 				packs = append(packs, packStep{ev, off + n, sp})
 				if sp.Active() {
 					ev.OnTrigger(sp.End)
@@ -642,7 +578,7 @@ func (t *Transport) StartRendezvousSend(req *mpi.Request) {
 			d2hSp.DependsOn(pack, obs.DepPack)
 			var d2h *sim.Event
 			if st.rows {
-				d2h = pl.gatherRows(p, n1.Ctx, vbuf.Ptr, req, off, n, n1.d2hStreams[rail], d2hSp, c)
+				d2h = pl.moveRows(p, n1.Ctx, true, vbuf.Ptr, req, off, n, n1.d2hStreams[rail], d2hSp, c)
 			} else {
 				d2h = n1.Ctx.MemcpyAsyncTask(p, vbuf.Ptr, src.Add(off), n, n1.d2hStreams[rail], d2hSp, c)
 			}
@@ -674,7 +610,7 @@ func (t *Transport) StartRendezvousRecv(req *mpi.Request) {
 	r := req.Rank()
 	n1 := t.Node(r)
 	pl := t.planFor(req)
-	st := t.stagesFor(r, pl, pl.unpackEng)
+	st := pl.unpack.st
 	e := r.World().Engine()
 	e.Spawn(fmt.Sprintf("rank%d.gpurecv", r.Rank()), func(p *sim.Proc) {
 		h := r.World().Hub()
@@ -769,7 +705,7 @@ func (t *Transport) StartRendezvousRecv(req *mpi.Request) {
 			h2dSp := h.StartChild(parent, obs.KindH2D, n1.tracks.h2d[rail], c, n)
 			var ev *sim.Event
 			if st.rows {
-				ev = pl.scatterRows(p, n1.Ctx, req, vbuf.Ptr, off, n, n1.h2dStreams[rail], h2dSp, c)
+				ev = pl.moveRows(p, n1.Ctx, false, vbuf.Ptr, req, off, n, n1.h2dStreams[rail], h2dSp, c)
 			} else {
 				ev = n1.Ctx.MemcpyAsyncTask(p, dst.Add(off), vbuf.Ptr, n, n1.h2dStreams[rail], h2dSp, c)
 			}
@@ -812,7 +748,7 @@ func (t *Transport) unpackStage(p *sim.Proc, n1 *NodeGPU, pl plan, req *mpi.Requ
 	unpack := func(p *sim.Proc, trigger obs.Span, cut int) {
 		sp := h.StartChild(parent, obs.KindUnpack, n1.tracks.unpack, len(evs), cut-through)
 		sp.DependsOn(trigger, obs.DepStage)
-		ev := t.unpackChunk(p, n1, pl, req, sp, len(evs), tbuf.Add(through), through, cut-through)
+		ev := pl.deviceChunk(p, n1, false, req, sp, len(evs), tbuf.Add(through), through, cut-through)
 		evs = append(evs, ev)
 		if sp.Active() {
 			ev.OnTrigger(sp.End)
@@ -827,7 +763,7 @@ func (t *Transport) unpackStage(p *sim.Proc, n1 *NodeGPU, pl plan, req *mpi.Requ
 			prefix++
 		}
 		cut := min(prefix*chunkBytes, size)
-		if pl.uniform && pl.unpackChunkEngine() != engineKernel {
+		if pl.unpack.dev == PackModeMemcpy2D {
 			cut = cut / pl.shape.Width * pl.shape.Width
 		}
 		if cut > through {

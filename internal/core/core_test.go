@@ -600,3 +600,55 @@ func TestGetProtocolIntoDeviceBuffer(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// taskLog records every finished task.
+type taskLog struct{ tasks []obs.Task }
+
+func (l *taskLog) TaskStart(obs.Task)                      {}
+func (l *taskLog) TaskStep(obs.Task, string)               {}
+func (l *taskLog) TaskEnd(t obs.Task)                      { l.tasks = append(l.tasks, t) }
+func (l *taskLog) CounterSample(string, sim.Time, float64) {}
+
+// TestTracedDeviceSsend: a synchronous device send takes the rendezvous
+// protocol even at eager size, under a send_rndv request span that every
+// sender-side pipeline stage hangs under.
+func TestTracedDeviceSsend(t *testing.T) {
+	v, _ := datatype.Vector(2048, 4, 16, datatype.Byte) // 8 KiB: eager-size
+	v.MustCommit()
+	log := &taskLog{}
+	var rbuf mem.Ptr
+	runPair(t, cluster.Config{Tracers: []obs.Tracer{log}}, func(n *cluster.Node) {
+		r := n.Rank
+		buf := n.Ctx.MustMalloc(v.Span(1))
+		if r.Rank() == 0 {
+			fillDev(buf, v.Span(1), 5)
+			r.Ssend(buf, 1, v, 1, 0)
+		} else {
+			rbuf = buf
+			r.Recv(buf, 1, v, 0, 0)
+		}
+	})
+	checkTyped(t, v, 1, rbuf, 5, "device Ssend")
+	var send uint64
+	for _, tk := range log.tasks {
+		if tk.Kind == obs.KindSendRndv {
+			send = tk.ID
+		}
+	}
+	if send == 0 {
+		t.Fatal("device Ssend opened no send_rndv span")
+	}
+	stages := 0
+	for _, tk := range log.tasks {
+		switch tk.Where {
+		case "rank0.pack", "rank0.d2h", "rank0.rdma":
+			stages++
+			if tk.ParentID != send {
+				t.Errorf("%s task %d has parent %d, want the send_rndv span %d", tk.Where, tk.ID, tk.ParentID, send)
+			}
+		}
+	}
+	if stages < 3 {
+		t.Errorf("%d sender stage tasks, want pack, d2h and rdma", stages)
+	}
+}

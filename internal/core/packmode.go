@@ -3,9 +3,9 @@ package core
 import (
 	"fmt"
 
-	"mv2sim/internal/datatype"
 	"mv2sim/internal/gpu"
 	"mv2sim/internal/ib"
+	"mv2sim/internal/sim"
 )
 
 // PackMode selects the engine a transfer's stage-1 pack (or stage-5
@@ -73,112 +73,130 @@ func ParsePackMode(s string) (PackMode, error) {
 	return PackModeAuto, fmt.Errorf("core: unknown pack mode %q (want auto, memcpy2d, kernel or nic)", s)
 }
 
-// packEngine is one side's resolved engine choice. plan carries two per
-// side: the pipeline engine (which may be engineNic) and the device
-// fallback used wherever there is no wire to offload to.
-type packEngine uint8
+// Engines is a candidate set for CheapestEngine: one bit per non-auto
+// PackMode.
+type Engines uint8
 
-const (
-	engineCopy packEngine = iota
-	engineKernel
-	engineNic
-)
+// DeviceEngines are the copy engine and the pack kernel: the engines that
+// work without a wire to offload to.
+const DeviceEngines Engines = 1<<PackModeMemcpy2D | 1<<PackModeKernel
 
-// ChoosePackEngine returns the modeled-cheapest engine for packing a
-// steady-state chunk of `rows` rows of `rowBytes` bytes read at the given
-// pitch. The candidates mirror what packbench -crossover measures per
-// point: issue + copy-engine time, issue + pack-kernel time, and the SGE
-// engine's gather time (whose posting overhead lives inside GatherCost's
-// WQE term, so no separate issue charge applies). Ties break toward the
-// earlier engine in memcpy2d < kernel < nic order, matching the sweep's
-// best-column computation, so auto agrees with the measured best at
-// every grid point by construction.
-func ChoosePackEngine(m *gpu.CostModel, ibm ib.Model, rows, rowBytes, pitch int) PackMode {
-	bytes := rows * rowBytes
-	shape := gpu.CopyShape{Width: rowBytes, Height: rows, DPitch: rowBytes, SPitch: pitch}
-	copyCost := m.AsyncIssue + m.CopyCost(gpu.D2D, shape)
-	kernCost := m.AsyncIssue + m.PackKernelCost(bytes, rows)
-	nicCost := ibm.GatherCost(bytes, rows)
-	best, bestCost := PackModeMemcpy2D, copyCost
-	if kernCost < bestCost {
-		best, bestCost = PackModeKernel, kernCost
-	}
-	if nicCost < bestCost {
-		best = PackModeNic
+func only(m PackMode) Engines { return 1 << m }
+
+// CheapestEngine is the one pack-engine cost comparison. It returns the
+// modeled-cheapest engine in cands for one chunk of `bytes` packed bytes
+// in `segs` contiguous segments; when the copy engine is a candidate the
+// segments are rows of bytes/segs bytes read at pitch. The costs mirror
+// what packbench -crossover measures per point: issue + copy-engine time,
+// issue + pack-kernel time, and the SGE engine's gather time (whose
+// posting overhead lives inside GatherCost's WQE term, so no separate
+// issue charge applies). Ties break toward the earlier engine in
+// memcpy2d < kernel < nic order, matching the sweep's best-column
+// computation.
+func CheapestEngine(m *gpu.CostModel, ibm ib.Model, cands Engines, bytes, segs, pitch int) PackMode {
+	best, bestCost := PackModeAuto, sim.Time(0)
+	for e := PackModeMemcpy2D; e <= PackModeNic; e++ {
+		if cands&only(e) == 0 {
+			continue
+		}
+		var cost sim.Time
+		switch e {
+		case PackModeMemcpy2D:
+			w := bytes / segs
+			cost = m.AsyncIssue + m.CopyCost(gpu.D2D, gpu.CopyShape{Width: w, Height: segs, DPitch: w, SPitch: pitch})
+		case PackModeKernel:
+			cost = m.AsyncIssue + m.PackKernelCost(bytes, segs)
+		default:
+			cost = ibm.GatherCost(bytes, segs)
+		}
+		if best == PackModeAuto || cost < bestCost {
+			best, bestCost = e, cost
+		}
 	}
 	return best
 }
 
-// resolveEngine resolves one side's PackMode for a uniform 2D transfer
-// into the pipeline engine and the device fallback. Auto decides per
-// transfer, before any stage is issued, from the three-way modeled cost
-// comparison and the compute engine's occupancy at decision time: pack
-// kernels share EngineKernel with application compute (e.g. stencil
-// interior kernels), so a busy or queued engine strikes the kernel from
-// the comparison rather than serializing the pipeline behind compute.
-// The fallback is always a device engine — the cheaper of copy and
-// kernel under the same contention rule — because the paths that use it
-// (eager staging, self-sends, kernel-tail routing) have no wire for the
-// NIC to overlap with.
-func (t *Transport) resolveEngine(mode PackMode, n1 *NodeGPU, ibm ib.Model, shape datatype.Shape2D, size, blockSize int) (eng, dev packEngine) {
-	switch mode {
-	case PackModeMemcpy2D:
-		return engineCopy, engineCopy
-	case PackModeKernel:
-		return engineKernel, engineKernel
-	}
-	// Foreign occupancy only: the transport's own pack kernels in flight
-	// (n1.kernOps) mean the engine business is pipeline traffic — e.g. the
-	// reverse direction of a bidirectional exchange — which interleaves
-	// fine at microsecond granularity. Application kernels, by contrast,
-	// hold the engine for whole compute phases.
-	ke := n1.Ctx.Device().Engine(gpu.EngineKernel)
-	foreign := n1.kernOps == 0 && (ke.InUse() > 0 || ke.QueueLen() > 0)
-	chunk := min(blockSize, size)
-	rows := max(1, chunk/shape.Width)
-	m := n1.Ctx.Model()
-	dev = engineCopy
-	if !foreign && m.KernelPackBeatsCopy(rows, shape.Width, shape.Pitch) {
-		dev = engineKernel
-	}
-	if mode == PackModeNic {
-		return engineNic, dev
-	}
-	choice := ChoosePackEngine(m, ibm, rows, shape.Width, shape.Pitch)
-	if foreign && choice == PackModeKernel {
-		// Kernel struck by contention: rerun the comparison over the
-		// remaining two engines, same tie-break order.
-		bytes := rows * shape.Width
-		cs := gpu.CopyShape{Width: shape.Width, Height: rows, DPitch: shape.Width, SPitch: shape.Pitch}
-		choice = PackModeMemcpy2D
-		if ibm.GatherCost(bytes, rows) < m.AsyncIssue+m.CopyCost(gpu.D2D, cs) {
-			choice = PackModeNic
-		}
-	}
-	switch choice {
-	case PackModeKernel:
-		return engineKernel, dev
-	case PackModeNic:
-		return engineNic, dev
-	default:
-		return engineCopy, dev
-	}
+// ChoosePackEngine returns the modeled-cheapest of all three engines for
+// packing a steady-state chunk of `rows` rows of `rowBytes` bytes read at
+// the given pitch: auto's pick on an idle compute engine, which agrees
+// with the measured best at every crossover grid point by construction.
+func ChoosePackEngine(m *gpu.CostModel, ibm ib.Model, rows, rowBytes, pitch int) PackMode {
+	return CheapestEngine(m, ibm, DeviceEngines|only(PackModeNic), rows*rowBytes, rows, pitch)
 }
 
-// irregularEngine resolves one side's engine for a type with no uniform
-// 2D shape: the copy engine cannot express it, so the choice is kernel
-// vs. NIC, compared under auto on the steady-state chunk's segment count
-// from the cached plan.
-func (t *Transport) irregularEngine(mode PackMode, n1 *NodeGPU, ibm ib.Model, cp *datatype.ChunkPlan) packEngine {
+// side is one side's engine choice, resolved once per transfer before any
+// stage is issued, so the whole pipeline sees one consistent decision. The
+// sender reads plan.pack, the receiver plan.unpack.
+type side struct {
+	// eng is the pipeline engine; PackModeNic skips the device stage.
+	eng PackMode
+	// dev is the device engine wherever there is no wire to offload to
+	// (eager staging, self-sends): eng, unless eng is PackModeNic.
+	dev PackMode
+	// tailCut is the packed offset from which a kernel side's final
+	// short chunk runs on the copy engine (0: never).
+	tailCut int
+	// st is the side's stage list (stagesFor).
+	st stages
+}
+
+// resolve turns one side's PackMode into its side record. The candidates
+// are the pinned engine, or under auto all three, narrowed by three rules:
+//
+//   - the copy engine only where the type has a 2D shape (a side pinned to
+//     it on an irregular type packs by kernel);
+//   - the NIC only where there is a wire, so never for dev;
+//   - foreign compute on EngineKernel strikes the kernel only where the
+//     copy engine can take its place, rather than serializing the pipeline
+//     behind application kernels. Irregular types keep the kernel.
+//
+// CheapestEngine then picks on the steady-state chunk: its rows for a
+// uniform type, its segments from the cached plan for an irregular one.
+// A kernel side also gets a tailCut: steady-state chunks are deep enough
+// past the crossover to amortize the launch premium, but the final chunk
+// carries only size%blockSize bytes and may land below it. The cut needs
+// row-aligned chunk boundaries, as the copy engine takes whole rows.
+func (pl plan) resolve(m *gpu.CostModel, ibm ib.Model, mode PackMode, blockSize int, foreign bool) side {
+	sd := side{eng: PackModeMemcpy2D, dev: PackModeMemcpy2D}
+	if pl.size == 0 || pl.contig {
+		// No pack stage: the engine matters only for an explicit nic pin,
+		// which routes contiguous chunks through the SGE unit as one-entry
+		// descriptors. Auto never picks the NIC here; there is nothing to
+		// gather.
+		if pl.size > 0 && mode == PackModeNic {
+			sd.eng = PackModeNic
+		}
+		return sd
+	}
+	dev := DeviceEngines
+	if mode == PackModeMemcpy2D || mode == PackModeKernel {
+		dev = only(mode)
+	}
+	var bytes, segs int
+	if pl.uniform {
+		segs = max(1, min(blockSize, pl.size)/pl.shape.Width)
+		bytes = segs * pl.shape.Width
+		if foreign && dev == DeviceEngines {
+			dev = only(PackModeMemcpy2D)
+		}
+	} else {
+		bytes, segs = pl.cp.ChunkLen(0), pl.cp.SegmentCount(0)
+		dev = only(PackModeKernel)
+	}
+	sd.dev = CheapestEngine(m, ibm, dev, bytes, segs, pl.shape.Pitch)
 	switch mode {
-	case PackModeNic:
-		return engineNic
 	case PackModeAuto:
-		bytes, segs := cp.ChunkLen(0), cp.SegmentCount(0)
-		m := n1.Ctx.Model()
-		if ibm.GatherCost(bytes, segs) < m.AsyncIssue+m.PackKernelCost(bytes, segs) {
-			return engineNic
+		sd.eng = CheapestEngine(m, ibm, dev|only(PackModeNic), bytes, segs, pl.shape.Pitch)
+	case PackModeNic:
+		sd.eng = PackModeNic
+	default:
+		sd.eng = sd.dev
+	}
+	if w := pl.shape.Width; pl.uniform && sd.dev == PackModeKernel && pl.size > blockSize && blockSize%w == 0 {
+		tail := pl.size % blockSize
+		if rows := tail / w; rows > 0 && CheapestEngine(m, ibm, DeviceEngines, rows*w, rows, pl.shape.Pitch) == PackModeMemcpy2D {
+			sd.tailCut = pl.size - tail
 		}
 	}
-	return engineKernel
+	return sd
 }

@@ -479,24 +479,3 @@ func TestPackKernelRateSegmentCharge(t *testing.T) {
 		t.Errorf("zeroed PackKernelRate = %v, want floor %v", got, floor)
 	}
 }
-
-func TestKernelPackCrossover(t *testing.T) {
-	// The pack kernel pays a bigger launch cost and a higher per-byte rate
-	// but no per-row charge, so it wins exactly where rows are many and
-	// short. With the default calibration the 4-byte-row break-even is
-	// 101 rows: launch gap 1000ns / (DevRow + 4B rate gap) per row.
-	m := DefaultModel()
-	if m.KernelPackBeatsCopy(100, 4, 16) {
-		t.Error("kernel should lose to memcpy2D at 100 rows x 4B")
-	}
-	if !m.KernelPackBeatsCopy(101, 4, 16) {
-		t.Error("kernel should beat memcpy2D at 101 rows x 4B")
-	}
-	// Wide rows amortize DevRow to nothing; the kernel's per-byte premium
-	// then dominates at every height.
-	for _, rows := range []int{1, 64, 1 << 10, 1 << 20} {
-		if m.KernelPackBeatsCopy(rows, 4096, 8192) {
-			t.Errorf("kernel should never beat memcpy2D at 4KB rows (rows=%d)", rows)
-		}
-	}
-}

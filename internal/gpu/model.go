@@ -264,14 +264,3 @@ func (m *CostModel) PackKernelRate(bytes, segments int) float64 {
 func (m *CostModel) PackKernelCost(bytes, segments int) sim.Time {
 	return m.KernelCost(bytes, m.PackKernelRate(bytes, segments))
 }
-
-// KernelPackBeatsCopy reports whether the pack kernel is modeled faster
-// than the copy engine for a strided D2D pack of `rows` rows of
-// `rowBytes` bytes read at the given source pitch. The copy engine pays
-// DevRow per row; the kernel pays a per-byte rate (with its own per-row
-// segment charge) but no DMA row charge, so short rows in quantity favor
-// the kernel and long rows favor the engine.
-func (m *CostModel) KernelPackBeatsCopy(rows, rowBytes, pitch int) bool {
-	shape := CopyShape{Width: rowBytes, Height: rows, DPitch: rowBytes, SPitch: pitch}
-	return m.PackKernelCost(rows*rowBytes, rows) < m.CopyCost(D2D, shape)
-}

@@ -362,26 +362,16 @@ func (h *HCA) PostSendRail(dst int, msg Message, payload []byte, railIdx int) *s
 }
 
 // RDMAWrite transfers n bytes from local memory src into the remote region
-// identified by rkey at byte offset roff on rail 0, with no receiver-side
-// notification (a silent one-sided put). The source bytes are snapshotted
-// at post time, modeling the HCA's DMA read; the returned event fires at
-// local completion. The bytes become visible in remote memory at delivery
-// time, strictly before any send posted afterwards on the same rail of
-// this HCA is delivered.
-func (h *HCA) RDMAWrite(dst int, src mem.Ptr, n int, rkey uint32, roff int) *sim.Event {
-	return h.RDMAWriteRail(dst, src, n, rkey, roff, 0)
-}
-
-// RDMAWriteRail is RDMAWrite on an explicit rail. The FIN-after-data
-// invariant holds only against sends posted on the same rail.
-func (h *HCA) RDMAWriteRail(dst int, src mem.Ptr, n int, rkey uint32, roff, railIdx int) *sim.Event {
-	return h.RDMAWriteRailTask(dst, src, n, rkey, roff, railIdx, obs.Span{}, -1)
-}
-
-// RDMAWriteRailTask is RDMAWriteRail with the wire tasks parented to an
-// enclosing pipeline-stage span and tagged with a chunk index (see
-// transmit). An inert parent and chunk -1 degrade to plain tracing.
-func (h *HCA) RDMAWriteRailTask(dst int, src mem.Ptr, n int, rkey uint32, roff, railIdx int, parent obs.Span, chunk int) *sim.Event {
+// identified by rkey at byte offset roff on rail railIdx, with no
+// receiver-side notification (a silent one-sided put). The source bytes
+// are snapshotted at post time, modeling the HCA's DMA read; the returned
+// event fires at local completion. The bytes become visible in remote
+// memory at delivery time, strictly before any send posted afterwards on
+// the same rail of this HCA is delivered; the FIN-after-data invariant
+// holds only against sends on that rail. The wire tasks are parented to
+// an enclosing pipeline-stage span and tagged with a chunk index (see
+// transmit); an inert parent and chunk -1 degrade to plain tracing.
+func (h *HCA) RDMAWrite(dst int, src mem.Ptr, n int, rkey uint32, roff, railIdx int, parent obs.Span, chunk int) *sim.Event {
 	// The HCA's DMA read of the source happens "at post time": the task is
 	// due at the post instant, and the poster owns src until the local
 	// completion event, so nothing rewrites it before the slot commits.

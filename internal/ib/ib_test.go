@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"mv2sim/internal/mem"
+	"mv2sim/internal/obs"
 	"mv2sim/internal/sim"
 )
 
@@ -82,7 +83,7 @@ func TestRDMAWriteDepositsBytes(t *testing.T) {
 	src := nw.host[0].Base()
 	mem.Fill(src, 4096, func(i int) byte { return byte(i * 13) })
 	nw.e.Spawn("sender", func(p *sim.Proc) {
-		ev := nw.hcas[0].RDMAWrite(1, src, 1024, reg.Rkey, 256)
+		ev := nw.hcas[0].RDMAWrite(1, src, 1024, reg.Rkey, 256, 0, obs.Span{}, -1)
 		p.Wait(ev)
 	})
 	if err := nw.e.Run(); err != nil {
@@ -110,7 +111,7 @@ func TestRDMAThenSendOrdering(t *testing.T) {
 		sawData = dst.Bytes(1 << 16)[65535] == 0x7E
 	})
 	nw.e.Spawn("sender", func(p *sim.Proc) {
-		nw.hcas[0].RDMAWrite(1, src, 1<<16, reg.Rkey, 0)
+		nw.hcas[0].RDMAWrite(1, src, 1<<16, reg.Rkey, 0, 0, obs.Span{}, -1)
 		nw.hcas[0].PostSend(1, "fin", nil)
 	})
 	if err := nw.e.Run(); err != nil {
@@ -180,7 +181,7 @@ func TestRDMAToUnknownRkeyPanics(t *testing.T) {
 	nw := newNet(2)
 	src := nw.host[0].Base()
 	nw.e.Spawn("sender", func(p *sim.Proc) {
-		nw.hcas[0].RDMAWrite(1, src, 16, 999, 0)
+		nw.hcas[0].RDMAWrite(1, src, 16, 999, 0, 0, obs.Span{}, -1)
 	})
 	defer func() {
 		if recover() == nil {
@@ -194,7 +195,7 @@ func TestRDMAOutOfRegionPanics(t *testing.T) {
 	nw := newNet(2)
 	reg := nw.hcas[1].Register(nw.host[1].Base(), 128)
 	nw.e.Spawn("sender", func(p *sim.Proc) {
-		nw.hcas[0].RDMAWrite(1, nw.host[0].Base(), 100, reg.Rkey, 64)
+		nw.hcas[0].RDMAWrite(1, nw.host[0].Base(), 100, reg.Rkey, 64, 0, obs.Span{}, -1)
 	})
 	defer func() {
 		if recover() == nil {
@@ -300,7 +301,7 @@ func TestPropChunkedRDMAIntegrity(t *testing.T) {
 		nw.e.Spawn("sender", func(p *sim.Proc) {
 			// Post chunks in reverse order; each targets its own slot.
 			for i := nchunks - 1; i >= 0; i-- {
-				nw.hcas[0].RDMAWrite(1, src.Add(i*chunk), chunk, reg.Rkey, i*chunk)
+				nw.hcas[0].RDMAWrite(1, src.Add(i*chunk), chunk, reg.Rkey, i*chunk, 0, obs.Span{}, -1)
 			}
 		})
 		if err := nw.e.Run(); err != nil {

@@ -214,8 +214,7 @@ func (h *HCA) scatterDeposit(reg Region, roff int, snap []byte, railIdx int, wir
 	})
 }
 
-// RDMAWriteGatherRailTask is the NIC-offloaded counterpart of
-// RDMAWriteRailTask: instead of snapshotting a contiguous source at post
+// RDMAWriteGather is the NIC-offloaded counterpart of RDMAWrite: instead of snapshotting a contiguous source at post
 // time, the rail's SGE unit first walks the gather descriptor (engine
 // occupancy per GatherCost, traced as KindNicGather under parent), then
 // the gathered payload goes to the wire. onWirePosted, when non-nil, runs
@@ -223,7 +222,7 @@ func (h *HCA) scatterDeposit(reg Region, roff int, snap []byte, railIdx int, wir
 // protocol layers use to post the chunk's FIN behind the data on the same
 // rail, preserving the FIN-after-data FIFO even though the gather delays
 // the post. The returned event fires at local wire completion.
-func (h *HCA) RDMAWriteGatherRailTask(dst int, sg SGDesc, rkey uint32, roff, railIdx int, parent obs.Span, chunk int, onWirePosted func()) *sim.Event {
+func (h *HCA) RDMAWriteGather(dst int, sg SGDesc, rkey uint32, roff, railIdx int, parent obs.Span, chunk int, onWirePosted func()) *sim.Event {
 	rl := h.railAt(railIdx)
 	done := h.f.e.NewEvent(fmt.Sprintf("hca%d.gather.done", h.node))
 	h.stats.RDMAWrites++

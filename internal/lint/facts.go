@@ -536,19 +536,17 @@ var simVisibleMethods = map[[3]string]bool{
 	{obsPath, "DepTracer", "TaskDepends"}: true,
 
 	// Rail/vbuf accounting and fabric posts.
-	{hostmemPath, "Pool", "Get"}:         true,
-	{hostmemPath, "Pool", "GetRail"}:     true,
-	{hostmemPath, "Pool", "TryGet"}:      true,
-	{hostmemPath, "Pool", "TryGetRail"}:  true,
-	{hostmemPath, "Pool", "Put"}:         true,
-	{ibPath, "HCA", "PostSend"}:          true,
-	{ibPath, "HCA", "PostSendRail"}:      true,
-	{ibPath, "HCA", "RDMAWrite"}:         true,
-	{ibPath, "HCA", "RDMAWriteRail"}:     true,
-	{ibPath, "HCA", "RDMAWriteRailTask"}: true,
-	{ibPath, "HCA", "RDMARead"}:          true,
-	{ibPath, "HCA", "Register"}:          true,
-	{ibPath, "HCA", "Deregister"}:        true,
+	{hostmemPath, "Pool", "Get"}:        true,
+	{hostmemPath, "Pool", "GetRail"}:    true,
+	{hostmemPath, "Pool", "TryGet"}:     true,
+	{hostmemPath, "Pool", "TryGetRail"}: true,
+	{hostmemPath, "Pool", "Put"}:        true,
+	{ibPath, "HCA", "PostSend"}:         true,
+	{ibPath, "HCA", "PostSendRail"}:     true,
+	{ibPath, "HCA", "RDMAWrite"}:        true,
+	{ibPath, "HCA", "RDMARead"}:         true,
+	{ibPath, "HCA", "Register"}:         true,
+	{ibPath, "HCA", "Deregister"}:       true,
 
 	// Trace breakdowns: key insertion order is the report's row order.
 	{tracePath, "Breakdown", "Add"}:   true,

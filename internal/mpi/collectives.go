@@ -35,7 +35,7 @@ func (c *Comm) Barrier() {
 		dst := (c.Rank() + mask) % n
 		src := (c.Rank() - mask + n) % n
 		rq := c.r.irecv(empty, 0, datatype.Byte, c.WorldRank(src), collTagBase+round, c.ctxColl)
-		sq := c.r.isend(empty, 0, datatype.Byte, c.WorldRank(dst), collTagBase+round, c.ctxColl)
+		sq := c.r.isend(empty, 0, datatype.Byte, c.WorldRank(dst), collTagBase+round, c.ctxColl, false)
 		c.r.Proc().Wait(sq.done)
 		c.r.Proc().Wait(rq.done)
 		round++
@@ -73,7 +73,7 @@ func (c *Comm) Bcast(buf mem.Ptr, count int, dt *datatype.Datatype, root int) {
 // sendCollBlocking sends on the collective context and waits for local
 // completion, so the caller may reuse buf immediately after.
 func (c *Comm) sendCollBlocking(buf mem.Ptr, count int, dt *datatype.Datatype, dest, tag int) {
-	q := c.r.isend(buf, count, dt, c.WorldRank(dest), tag, c.ctxColl)
+	q := c.r.isend(buf, count, dt, c.WorldRank(dest), tag, c.ctxColl, false)
 	c.r.Proc().Wait(q.done)
 }
 

@@ -78,7 +78,7 @@ func (c *Comm) Isend(buf mem.Ptr, count int, dt *datatype.Datatype, dest, tag in
 	if dest == ProcNull {
 		return c.r.nullRequest(SendReq)
 	}
-	return c.r.isend(buf, count, dt, c.WorldRank(dest), tag, c.ctxP2P)
+	return c.r.isend(buf, count, dt, c.WorldRank(dest), tag, c.ctxP2P, false)
 }
 
 // Irecv is MPI_Irecv on this communicator. source may be ProcNull or
@@ -245,7 +245,7 @@ func (w *World) allocCtx() int {
 // sendColl/recvColl are internal fixed-size byte exchanges on a
 // communicator's collective context.
 func (r *Rank) sendColl(buf mem.Ptr, n int, c *Comm, dest, tag int) {
-	q := r.isend(buf, n, datatype.Byte, c.WorldRank(dest), tag, c.ctxColl)
+	q := r.isend(buf, n, datatype.Byte, c.WorldRank(dest), tag, c.ctxColl, false)
 	r.Proc().Wait(q.done)
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -339,6 +340,45 @@ func TestSsendWaitsForMatch(t *testing.T) {
 			r.Recv(buf, 256, datatype.Byte, 0, 0)
 			checkPattern(t, buf, 256, 2, "ssend recv")
 		}
+	})
+}
+
+// TestSsendProcNull: a synchronous send to ProcNull completes at once and
+// moves nothing, as MPI_PROC_NULL requires of every send.
+func TestSsendProcNull(t *testing.T) {
+	w := run(t, 2, func(r *Rank) {
+		buf := r.AllocHost(256)
+		t0 := r.Now()
+		r.Ssend(buf, 256, datatype.Byte, ProcNull, 0)
+		if q := r.Issend(buf, 256, datatype.Byte, ProcNull, 0); !q.Done() {
+			t.Error("Issend to ProcNull returned an incomplete request")
+		}
+		if r.Now()-t0 > 2*sim.Microsecond {
+			t.Errorf("ProcNull Ssend took %v", r.Now()-t0)
+		}
+	})
+	for i := 0; i < w.Size(); i++ {
+		if st := w.Rank(i).Stats(); st.BytesSent != 0 || st.RndvSent != 0 {
+			t.Errorf("rank %d: ProcNull Ssend counted %+v", i, st)
+		}
+	}
+}
+
+// TestSsendInvalidRank: an out-of-range destination fails at the MPI
+// boundary with mpi's own message, not deep inside the fabric.
+func TestSsendInvalidRank(t *testing.T) {
+	run(t, 2, func(r *Rank) {
+		if r.Rank() != 0 {
+			return
+		}
+		buf := r.AllocHost(256)
+		defer func() {
+			msg, _ := recover().(string)
+			if !strings.Contains(msg, "send to invalid rank 5") {
+				t.Errorf("Ssend to rank 5 panicked with %q", msg)
+			}
+		}()
+		r.Ssend(buf, 256, datatype.Byte, 5, 0)
 	})
 }
 

@@ -59,24 +59,5 @@ func (r *Rank) Ssend(buf mem.Ptr, count int, dt *datatype.Datatype, dest, tag in
 
 // Issend is the non-blocking synchronous send (MPI_Issend).
 func (r *Rank) Issend(buf mem.Ptr, count int, dt *datatype.Datatype, dest, tag int) *Request {
-	r.callOverhead()
-	checkType(dt, count)
-	if dest == r.rank {
-		// Synchronous self-send: deliver through the local queues; the
-		// send completes when the matching receive exists. With a single
-		// process per rank the blocking form requires the receive to be
-		// pre-posted, as in MPI.
-		q := r.newRequest(SendReq, buf, dt, count, dest, tag, ctxPt2pt)
-		r.selfSend(q)
-		return q
-	}
-	q := r.newRequest(SendReq, buf, dt, count, dest, tag, ctxPt2pt)
-	r.stats.BytesSent += int64(q.size)
-	r.stats.RndvSent++
-	if buf.IsDevice() && q.size > 0 {
-		r.transport().StartRendezvousSend(q)
-		return q
-	}
-	r.startHostRendezvous(q)
-	return q
+	return r.isend(buf, count, dt, dest, tag, ctxPt2pt, true)
 }

@@ -67,9 +67,10 @@ type GPUTransport interface {
 	// receives and self-receives.
 	DeliverFromHost(req *Request, packed []byte)
 	// StartRendezvousSend drives the sender side of a large transfer from
-	// device memory: it must send the RTS via req.Rank().SendRTS, produce
-	// packed chunks, place them with req.Rank().RDMAChunk, and finally
-	// call req.CompleteSend.
+	// device memory: it must send the RTS via req.Rank().SendRTS, place
+	// each chunk with req.Rank().RDMAChunk (packed bytes) or RDMANicChunk
+	// (an SGE gather of the typed buffer), and finally call
+	// req.CompleteSend.
 	StartRendezvousSend(req *Request)
 	// StartRendezvousRecv drives the receiver side of a large transfer
 	// into device memory: it must announce landing slots via
@@ -106,7 +107,7 @@ func checkType(dt *datatype.Datatype, count int) {
 // Isend starts a non-blocking send of count elements of dt at buf to
 // (dest, tag) and returns the request (MPI_Isend).
 func (r *Rank) Isend(buf mem.Ptr, count int, dt *datatype.Datatype, dest, tag int) *Request {
-	return r.isend(buf, count, dt, dest, tag, ctxPt2pt)
+	return r.isend(buf, count, dt, dest, tag, ctxPt2pt, false)
 }
 
 // Send is the blocking form (MPI_Send): it returns when the send buffer is
@@ -116,7 +117,10 @@ func (r *Rank) Send(buf mem.Ptr, count int, dt *datatype.Datatype, dest, tag int
 	r.Proc().Wait(q.done)
 }
 
-func (r *Rank) isend(buf mem.Ptr, count int, dt *datatype.Datatype, dest, tag, ctx int) *Request {
+// isend validates, counts, traces and routes one send. ssend forces the
+// rendezvous protocol (MPI_Ssend): its CTS is the matching acknowledgement
+// a synchronous send waits for.
+func (r *Rank) isend(buf mem.Ptr, count int, dt *datatype.Datatype, dest, tag, ctx int, ssend bool) *Request {
 	r.callOverhead()
 	checkType(dt, count)
 	if dest == ProcNull {
@@ -127,19 +131,20 @@ func (r *Rank) isend(buf mem.Ptr, count int, dt *datatype.Datatype, dest, tag, c
 	}
 	q := r.newRequest(SendReq, buf, dt, count, dest, tag, ctx)
 	r.stats.BytesSent += int64(q.size)
-	q.span = r.w.hub.Start(sendKind(r, q), r.obsTrack, -1, q.size)
+	rndv := ssend || q.size > r.w.cfg.EagerLimit
+	q.span = r.w.hub.Start(sendKind(r, q, rndv), r.obsTrack, -1, q.size)
 
 	switch {
 	case dest == r.rank:
 		r.selfSend(q)
-	case q.size == 0:
+	case q.size == 0 && !ssend:
 		// Zero-byte messages always travel eagerly, device or host.
 		ev := r.hca.PostSend(dest, eagerMsg{r.rank, tag, ctx, 0}, nil)
 		ev.OnTrigger(q.CompleteSend)
 		r.stats.EagerSent++
-	case buf.IsDevice():
+	case buf.IsDevice() && q.size > 0:
 		t := r.transport()
-		if q.size <= r.w.cfg.EagerLimit {
+		if !rndv {
 			t.StageToHost(q, func(packed []byte) {
 				ev := r.hca.PostSend(dest, eagerMsg{r.rank, tag, ctx, q.size}, packed)
 				ev.OnTrigger(q.CompleteSend)
@@ -149,7 +154,7 @@ func (r *Rank) isend(buf mem.Ptr, count int, dt *datatype.Datatype, dest, tag, c
 			t.StartRendezvousSend(q)
 			r.stats.RndvSent++
 		}
-	case q.size <= r.w.cfg.EagerLimit:
+	case !rndv:
 		r.Proc().Sleep(r.hostPackCost(dt, count))
 		payload := make([]byte, q.size)
 		dt.PackBytes(payload, buf, count)
@@ -164,11 +169,11 @@ func (r *Rank) isend(buf mem.Ptr, count int, dt *datatype.Datatype, dest, tag, c
 }
 
 // sendKind classifies a send request for tracing.
-func sendKind(r *Rank, q *Request) string {
+func sendKind(r *Rank, q *Request, rndv bool) string {
 	switch {
 	case q.peer == r.rank:
 		return obs.KindSendSelf
-	case q.size > r.w.cfg.EagerLimit:
+	case rndv:
 		return obs.KindSendRndv
 	default:
 		return obs.KindSendEager
@@ -244,50 +249,40 @@ func (q *Request) waitSlotEvent(p *sim.Proc) {
 	p.Wait(q.slotEv)
 }
 
-// RDMAChunk places one packed chunk into its announced slot on rail 0 and
-// posts the chunk's FIN message behind it (ordered delivery makes the FIN
-// arrive after the data). It returns the local completion event, after
-// which the source buffer is reusable.
-func (r *Rank) RDMAChunk(q *Request, s Slot, src mem.Ptr, n int) *sim.Event {
-	return r.RDMAChunkRail(q, s, src, n, 0)
-}
-
-// RDMAChunkRail is RDMAChunk on an explicit HCA rail. The data write and
-// its FIN travel on the same rail — wire FIFO ordering holds only per
-// rail, so posting them on different rails would let the FIN overtake its
-// data. FINs from different rails may arrive in any interleaving; the
-// receiver must not assume chunk order.
-func (r *Rank) RDMAChunkRail(q *Request, s Slot, src mem.Ptr, n, rail int) *sim.Event {
-	return r.RDMAChunkRailSpan(q, s, src, n, rail, obs.Span{})
-}
-
-// RDMAChunkRailSpan is RDMAChunkRail with the chunk's wire tasks and FIN
-// marker parented under the sender's rdma stage span, so the critical-path
-// analyzer can follow chunk identity across the fabric. An inert span
+// RDMAChunk places one packed chunk into its announced slot on HCA rail
+// rail and posts the chunk's FIN message behind it (ordered delivery makes
+// the FIN arrive after the data). It returns the local completion event,
+// after which the source buffer is reusable. The data write and its FIN
+// travel on the same rail — wire FIFO ordering holds only per rail, so
+// posting them on different rails would let the FIN overtake its data.
+// FINs from different rails may arrive in any interleaving; the receiver
+// must not assume chunk order. The chunk's wire tasks and FIN marker are
+// parented under sp, the sender's rdma stage span, so the critical-path
+// analyzer can follow chunk identity across the fabric; an inert span
 // degrades to plain tracing.
-func (r *Rank) RDMAChunkRailSpan(q *Request, s Slot, src mem.Ptr, n, rail int, sp obs.Span) *sim.Event {
+func (r *Rank) RDMAChunk(q *Request, s Slot, src mem.Ptr, n, rail int, sp obs.Span) *sim.Event {
 	if n != s.Len {
 		panic(fmt.Sprintf("mpi: chunk %d length %d does not match slot length %d", s.Chunk, n, s.Len))
 	}
-	ev := r.hca.RDMAWriteRailTask(q.peer, src, n, s.Rkey, s.Off, rail, sp, s.Chunk)
+	ev := r.hca.RDMAWrite(q.peer, src, n, s.Rkey, s.Off, rail, sp, s.Chunk)
 	r.w.hub.InstantChild(sp, obs.KindFIN, r.obsTrack, s.Chunk, n)
 	r.hca.PostSendRail(q.peer, finMsg{q.peerID, s.Chunk}, nil, rail)
 	return ev
 }
 
-// RDMANicChunkRailSpan places one chunk into its announced slot with the
+// RDMANicChunk places one chunk into its announced slot with the
 // HCA's scatter/gather unit walking the datatype in place of a packed
-// source buffer (ib.RDMAWriteGatherRailTask). The gather delays the wire
+// source buffer (ib.RDMAWriteGather). The gather delays the wire
 // post by the SGE engine time, so the FIN cannot be posted here at call
 // time — it would overtake the data on the rail FIFO. Instead it rides
 // the onWirePosted hook, which the HCA invokes synchronously right after
 // posting the data transfer, restoring the exact post order
-// RDMAChunkRailSpan gets for free.
-func (r *Rank) RDMANicChunkRailSpan(q *Request, s Slot, sg ib.SGDesc, rail int, sp obs.Span) *sim.Event {
+// RDMAChunk gets for free.
+func (r *Rank) RDMANicChunk(q *Request, s Slot, sg ib.SGDesc, rail int, sp obs.Span) *sim.Event {
 	if sg.N != s.Len {
 		panic(fmt.Sprintf("mpi: chunk %d length %d does not match slot length %d", s.Chunk, sg.N, s.Len))
 	}
-	return r.hca.RDMAWriteGatherRailTask(q.peer, sg, s.Rkey, s.Off, rail, sp, s.Chunk, func() {
+	return r.hca.RDMAWriteGather(q.peer, sg, s.Rkey, s.Off, rail, sp, s.Chunk, func() {
 		r.w.hub.InstantChild(sp, obs.KindFIN, r.obsTrack, s.Chunk, sg.N)
 		r.hca.PostSendRail(q.peer, finMsg{q.peerID, s.Chunk}, nil, rail)
 	})
@@ -309,7 +304,7 @@ func (r *Rank) sendHostData(p *sim.Proc, q *Request) {
 		off := c * chunkBytes
 		p.Sleep(r.hostCopyCost(s.Len))
 		plan.PackRange(staging, q.buf, off, s.Len)
-		lastEv = r.RDMAChunk(q, s, staging, s.Len)
+		lastEv = r.RDMAChunk(q, s, staging, s.Len, 0, obs.Span{})
 		// The staging buffer is reused next iteration, so wait for the
 		// HCA to have read it (local completion).
 		p.Wait(lastEv)

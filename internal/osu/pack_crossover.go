@@ -138,16 +138,20 @@ func nicPoint(rows, rowBytes, pitch int, model ib.Model) (sim.Time, error) {
 
 // CrossoverBreakEven returns the smallest row count at which the kernel
 // pack is modeled faster than the copy engine for the given row width, or
-// -1 if the copy engine wins at every row count up to 1M rows.
+// -1 if the copy engine wins at every row count up to 1M rows: core's
+// engine comparison restricted to the two device engines.
 func CrossoverBreakEven(rowBytes, pitch int, model *gpu.CostModel) int {
 	const maxRows = 1 << 20
-	if !model.KernelPackBeatsCopy(maxRows, rowBytes, pitch) {
+	kernelWins := func(rows int) bool {
+		return core.CheapestEngine(model, ib.Model{}, core.DeviceEngines, rows*rowBytes, rows, pitch) == core.PackModeKernel
+	}
+	if !kernelWins(maxRows) {
 		return -1
 	}
 	lo, hi := 1, maxRows
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if model.KernelPackBeatsCopy(mid, rowBytes, pitch) {
+		if kernelWins(mid) {
 			hi = mid
 		} else {
 			lo = mid + 1
