@@ -206,7 +206,9 @@ func (cl *Cluster) Run(fn func(n *Node)) error {
 }
 
 // CheckDeviceLeaks is the end-of-run leak gate: it validates every device
-// allocator's invariants and reports any allocation still live. Benchmarks
+// allocator's invariants and reports any allocation still live, then
+// reports any fabric payload buffer not yet returned to its recycler (an
+// undelivered message or a layer that dropped its release). Benchmarks
 // call it after Run, once all device buffers have been freed — Free is pure
 // allocator bookkeeping, so it works after engine shutdown and costs no
 // virtual time.
@@ -222,6 +224,9 @@ func (cl *Cluster) CheckDeviceLeaks() error {
 			return fmt.Errorf("cluster: node %d leaks %d device allocations (%d bytes in use)",
 				i, live, n.Dev.MemInUse())
 		}
+	}
+	if out := cl.Fabric.Buffers().Outstanding(); out != 0 {
+		return fmt.Errorf("cluster: fabric leaks %d payload buffers", out)
 	}
 	return nil
 }

@@ -302,7 +302,8 @@ func (pl plan) rowWidth(off, n int) int {
 // D2D pack into tbuf, then chunk-sized D2H copies double-buffered through
 // two vbufs, so the host memcpy draining chunk i overlaps chunk i+1's D2H.
 // The second vbuf is best-effort (TryGet): a drained pool degrades to the
-// serial single-vbuf path instead of risking deadlock.
+// serial single-vbuf path instead of risking deadlock. packed is a buffer
+// from the fabric's recycler; deliver takes ownership of it.
 func (t *Transport) StageToHost(req *mpi.Request, deliver func(packed []byte)) {
 	r := req.Rank()
 	n1 := t.Node(r)
@@ -310,7 +311,7 @@ func (t *Transport) StageToHost(req *mpi.Request, deliver func(packed []byte)) {
 	e := r.World().Engine()
 	e.Spawn(fmt.Sprintf("rank%d.gpustage", r.Rank()), func(p *sim.Proc) {
 		size := pl.size
-		packed := make([]byte, size)
+		packed := r.HCA().Buffers().Get(size)
 		var tbuf mem.Ptr
 		if !pl.contig {
 			tbuf = n1.Ctx.MustMalloc(size)
@@ -371,6 +372,8 @@ func (t *Transport) StageToHost(req *mpi.Request, deliver func(packed []byte)) {
 // host copy into a vbuf, H2D into tbuf, D2D unpack, complete. The host
 // copies and H2D transfers are double-buffered across two vbufs (when the
 // pool allows): the H2D of chunk i runs while the host fills chunk i+1.
+// DeliverFromHost owns packed, a buffer from the fabric's recycler, and
+// releases it once the last host copy has read it.
 func (t *Transport) DeliverFromHost(req *mpi.Request, packed []byte) {
 	r := req.Rank()
 	n1 := t.Node(r)
@@ -414,6 +417,8 @@ func (t *Transport) DeliverFromHost(req *mpi.Request, packed []byte) {
 				b = 1 - b
 			}
 		}
+		// The last fill task's slot has passed: packed is no longer read.
+		r.HCA().Buffers().Put(packed)
 		for i := 0; i < nbuf; i++ {
 			if evs[i] != nil {
 				p.Wait(evs[i])

@@ -82,8 +82,9 @@ type Message interface{}
 
 // Handler receives two-sided messages on an HCA. It runs in engine
 // context at delivery-completion time and must not block; payload is the
-// sender's snapshot of the inline data (nil for header-only messages) and
-// must not be retained beyond the call without copying.
+// sender's snapshot of the inline data (nil for header-only messages),
+// taken from the fabric's Buffers. The handler owns it and releases it
+// there once done with it.
 type Handler func(from int, msg Message, payload []byte)
 
 // Fabric is the switch connecting all HCAs.
@@ -92,6 +93,9 @@ type Fabric struct {
 	model Model
 	hcas  map[int]*HCA
 	hub   *obs.Hub
+	// bufs supplies every wire payload buffer: RDMA snapshots, send
+	// payloads, and the eager buffers the layers above pass through them.
+	bufs mem.Recycler
 }
 
 // SetHub attaches an observability hub: every wire operation becomes a
@@ -119,6 +123,11 @@ func NewFabric(e sim.Engine, model Model) *Fabric {
 
 // Model returns the fabric's cost model.
 func (f *Fabric) Model() Model { return f.model }
+
+// Buffers returns the fabric's payload buffer recycler. Its Outstanding
+// count is zero once every posted transfer has been delivered and every
+// delivered payload released.
+func (f *Fabric) Buffers() *mem.Recycler { return &f.bufs }
 
 // Rails returns the number of rails each HCA exposes (always >= 1).
 func (f *Fabric) Rails() int { return f.model.Rails }
@@ -237,6 +246,10 @@ func (h *HCA) Model() Model { return h.f.model }
 // Rails returns the number of rails this HCA exposes (always >= 1).
 func (h *HCA) Rails() int { return len(h.rails) }
 
+// Buffers returns the fabric's payload buffer recycler, through which the
+// layers above obtain and release the payloads they hand to the HCA.
+func (h *HCA) Buffers() *mem.Recycler { return &h.f.bufs }
+
 // railAt bounds-checks and fetches a rail.
 func (h *HCA) railAt(i int) *rail {
 	if i < 0 || i >= len(h.rails) {
@@ -338,9 +351,10 @@ func (h *HCA) transmit(dst int, nbytes int, kind string, railIdx int, parent obs
 const headerBytes = 64
 
 // PostSend transmits a two-sided message carrying msg and an optional
-// payload snapshot taken from payload at post time, on rail 0. The
-// returned event fires at local completion (send buffer reusable). The
-// remote handler is invoked when the message fully arrives.
+// payload snapshot taken from payload at post time, on rail 0: the caller
+// may reuse or release payload as soon as PostSend returns. The returned
+// event fires at local completion. The remote handler is invoked when the
+// message fully arrives, and owns the snapshot from then on.
 func (h *HCA) PostSend(dst int, msg Message, payload []byte) *sim.Event {
 	return h.PostSendRail(dst, msg, payload, 0)
 }
@@ -348,10 +362,8 @@ func (h *HCA) PostSend(dst int, msg Message, payload []byte) *sim.Event {
 // PostSendRail is PostSend on an explicit rail. Delivery order is
 // guaranteed only relative to other operations on the same rail.
 func (h *HCA) PostSendRail(dst int, msg Message, payload []byte, railIdx int) *sim.Event {
-	var snap []byte
-	if len(payload) > 0 {
-		snap = append([]byte(nil), payload...)
-	}
+	snap := h.f.bufs.Get(len(payload))
+	copy(snap, payload)
 	h.stats.SendsPosted++
 	return h.transmit(dst, headerBytes+len(snap), obs.KindSend, railIdx, obs.Span{}, -1, func(rx *HCA, _ obs.Task) {
 		if rx.handler == nil {
@@ -364,18 +376,18 @@ func (h *HCA) PostSendRail(dst int, msg Message, payload []byte, railIdx int) *s
 // RDMAWrite transfers n bytes from local memory src into the remote region
 // identified by rkey at byte offset roff on rail railIdx, with no
 // receiver-side notification (a silent one-sided put). The source bytes
-// are snapshotted at post time, modeling the HCA's DMA read; the returned
-// event fires at local completion. The bytes become visible in remote
-// memory at delivery time, strictly before any send posted afterwards on
-// the same rail of this HCA is delivered; the FIN-after-data invariant
-// holds only against sends on that rail. The wire tasks are parented to
+// are snapshotted at post time into a recycled buffer, modeling the HCA's
+// DMA read; the returned event fires at local completion. The bytes
+// become visible in remote memory at delivery time, strictly before any
+// send posted afterwards on the same rail of this HCA is delivered; the
+// FIN-after-data invariant holds only against sends on that rail. The wire tasks are parented to
 // an enclosing pipeline-stage span and tagged with a chunk index (see
 // transmit); an inert parent and chunk -1 degrade to plain tracing.
 func (h *HCA) RDMAWrite(dst int, src mem.Ptr, n int, rkey uint32, roff, railIdx int, parent obs.Span, chunk int) *sim.Event {
 	// The HCA's DMA read of the source happens "at post time": the task is
 	// due at the post instant, and the poster owns src until the local
 	// completion event, so nothing rewrites it before the slot commits.
-	snap := make([]byte, n)
+	snap := h.f.bufs.Get(n)
 	h.f.e.TaskAt(h.f.e.Now(), func() { copy(snap, src.Bytes(n)) })
 	h.stats.RDMAWrites++
 	return h.transmit(dst, n, obs.KindRDMA, railIdx, parent, chunk, func(rx *HCA, wire obs.Task) {
@@ -388,7 +400,7 @@ func (h *HCA) RDMAWrite(dst int, src mem.Ptr, n int, rkey uint32, roff, railIdx 
 // region routes the payload through the receiving rail's SGE unit, which
 // walks the registered descriptor (see sg.go). wire is the receive-side
 // wire task, threaded through so the scatter task can record its stage
-// dependency.
+// dependency. deposit owns snap and releases it once the bytes have landed.
 func (h *HCA) deposit(rkey uint32, roff int, snap []byte, railIdx int, wire obs.Task) {
 	reg, ok := h.regions[rkey]
 	if !ok {
@@ -404,7 +416,10 @@ func (h *HCA) deposit(rkey uint32, roff int, snap []byte, railIdx int, wire obs.
 	// Bytes land in remote memory at delivery time; the receiver only
 	// looks after the FIN, which trails the data on the same rail.
 	dst := reg.ptr.Add(roff).Bytes(len(snap))
-	h.f.e.TaskAt(h.f.e.Now(), func() { copy(dst, snap) })
+	h.f.e.TaskAt(h.f.e.Now(), func() {
+		copy(dst, snap)
+		h.f.bufs.Put(snap)
+	})
 }
 
 // RDMARead fetches n bytes from the remote region identified by rkey at
@@ -443,7 +458,8 @@ func (h *HCA) RDMARead(dst mem.Ptr, from int, rkey uint32, roff, n int) *sim.Eve
 		}
 		respRail.sendLink.Acquire(p)
 		respSp := h.f.hub.Start(obs.KindRDMARead, respRail.txTrack, -1, n)
-		snap := append([]byte(nil), reg.ptr.Add(roff).Bytes(n)...)
+		snap := h.f.bufs.Get(n)
+		copy(snap, reg.ptr.Add(roff).Bytes(n))
 		p.Sleep(tx.wireTime(n))
 		respSp.End()
 		respRail.sendLink.Release()
@@ -458,6 +474,7 @@ func (h *HCA) RDMARead(dst mem.Ptr, from int, rkey uint32, roff, n int) *sim.Eve
 		h.stats.BytesRx += int64(n)
 		h.f.hub.Counter(h.rxCtr, float64(h.stats.BytesRx))
 		copy(dst.Bytes(n), snap)
+		h.f.bufs.Put(snap)
 		done.Trigger()
 	})
 	return done

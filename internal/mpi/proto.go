@@ -45,7 +45,7 @@ type finMsg struct {
 // inbound is an arrived-but-unmatched message.
 type inbound struct {
 	from, tag, ctx, size int
-	payload              []byte // eager data (copied); nil for rendezvous
+	payload              []byte // eager data, owned until delivered; nil for rendezvous
 	sendID               int    // rendezvous only
 	isRts                bool
 	isGet                bool   // rendezvous RTS advertises an rkey to read
@@ -60,11 +60,13 @@ type inbound struct {
 type GPUTransport interface {
 	// StageToHost packs the request's device buffer into host bytes and
 	// invokes deliver when the packed data is ready. Used for eager-size
-	// sends and for self-sends.
+	// sends and for self-sends. packed comes from the HCA's Buffers and
+	// deliver owns it.
 	StageToHost(req *Request, deliver func(packed []byte))
 	// DeliverFromHost unpacks packed bytes into the request's device
 	// buffer and calls req.CompleteRecv when done. Used for eager-size
-	// receives and self-receives.
+	// receives and self-receives. It takes ownership of packed, a buffer
+	// from the HCA's Buffers, and releases it there.
 	DeliverFromHost(req *Request, packed []byte)
 	// StartRendezvousSend drives the sender side of a large transfer from
 	// device memory: it must send the RTS via req.Rank().SendRTS, place
@@ -146,8 +148,7 @@ func (r *Rank) isend(buf mem.Ptr, count int, dt *datatype.Datatype, dest, tag, c
 		t := r.transport()
 		if !rndv {
 			t.StageToHost(q, func(packed []byte) {
-				ev := r.hca.PostSend(dest, eagerMsg{r.rank, tag, ctx, q.size}, packed)
-				ev.OnTrigger(q.CompleteSend)
+				r.postEager(q, packed)
 			})
 			r.stats.EagerSent++
 		} else {
@@ -155,17 +156,31 @@ func (r *Rank) isend(buf mem.Ptr, count int, dt *datatype.Datatype, dest, tag, c
 			r.stats.RndvSent++
 		}
 	case !rndv:
-		r.Proc().Sleep(r.hostPackCost(dt, count))
-		payload := make([]byte, q.size)
-		dt.PackBytes(payload, buf, count)
-		ev := r.hca.PostSend(dest, eagerMsg{r.rank, tag, ctx, q.size}, payload)
-		ev.OnTrigger(q.CompleteSend)
+		r.postEager(q, r.packHost(q))
 		r.stats.EagerSent++
 	default:
 		r.startHostRendezvous(q)
 		r.stats.RndvSent++
 	}
 	return q
+}
+
+// packHost packs a host-buffer send request into a recycled payload
+// buffer on the CPU, charging the host pack time. The caller owns the
+// result.
+func (r *Rank) packHost(q *Request) []byte {
+	r.Proc().Sleep(r.hostPackCost(q.dt, q.count))
+	payload := r.hca.Buffers().Get(q.size)
+	q.dt.PackBytes(payload, q.buf, q.count)
+	return payload
+}
+
+// postEager sends an eager message carrying packed, which PostSend
+// snapshots, so the buffer goes straight back to the recycler.
+func (r *Rank) postEager(q *Request, packed []byte) {
+	ev := r.hca.PostSend(q.peer, eagerMsg{r.rank, q.tag, q.ctx, q.size}, packed)
+	r.hca.Buffers().Put(packed)
+	ev.OnTrigger(q.CompleteSend)
 }
 
 // sendKind classifies a send request for tracing.
@@ -194,7 +209,8 @@ func (r *Rank) startHostRendezvous(q *Request) {
 }
 
 // selfSend delivers a message to this same rank without touching the
-// fabric: the packed bytes are matched through the normal queues.
+// fabric: the packed bytes are matched through the normal queues, which
+// take ownership of the recycled buffer.
 func (r *Rank) selfSend(q *Request) {
 	deliver := func(packed []byte) {
 		r.dispatchEager(r.rank, q.tag, q.ctx, q.size, packed)
@@ -208,10 +224,7 @@ func (r *Rank) selfSend(q *Request) {
 		r.transport().StageToHost(q, deliver)
 		return
 	}
-	r.Proc().Sleep(r.hostPackCost(q.dt, q.count))
-	payload := make([]byte, q.size)
-	q.dt.PackBytes(payload, q.buf, q.count)
-	deliver(payload)
+	deliver(r.packHost(q))
 }
 
 // SendRTS posts the rendezvous request-to-send for a send request. GPU
@@ -376,7 +389,8 @@ func matches(wantSrc, wantTag, wantCtx, from, tag, ctx int) bool {
 }
 
 // handleMessage is the HCA upcall: it runs in engine context on every
-// arriving protocol message.
+// arriving protocol message. Only eager messages carry a payload; it is
+// handed on to the matching path.
 func (r *Rank) handleMessage(from int, msg ib.Message, payload []byte) {
 	switch m := msg.(type) {
 	case eagerMsg:
@@ -420,6 +434,9 @@ func (r *Rank) handleMessage(from int, msg ib.Message, payload []byte) {
 	}
 }
 
+// dispatchEager matches an arrived eager message, or queues it as
+// unexpected. It takes ownership of payload, a recycled buffer that the
+// eventual delivery releases.
 func (r *Rank) dispatchEager(from, tag, ctx, size int, payload []byte) {
 	r.stats.EagerRecvd++
 	if q := r.matchPosted(from, tag, ctx); q != nil {
@@ -428,8 +445,7 @@ func (r *Rank) dispatchEager(from, tag, ctx, size int, payload []byte) {
 	}
 	r.stats.Unexpected++
 	r.unexpected = append(r.unexpected, &inbound{
-		from: from, tag: tag, ctx: ctx, size: size,
-		payload: append([]byte(nil), payload...),
+		from: from, tag: tag, ctx: ctx, size: size, payload: payload,
 	})
 	r.notifyArrival()
 }
@@ -469,14 +485,17 @@ func (q *Request) checkTruncation(size int) {
 	}
 }
 
-// deliverEager completes a matched eager receive. Runs in engine or
-// process context.
+// setMatched records a matched message's envelope on a receive request
+// and checks it for truncation.
 func (q *Request) setMatched(from, tag, size int) {
 	q.status = Status{Source: from, Tag: tag, Bytes: size}
 	q.matchedSize = size
 	q.checkTruncation(size)
 }
 
+// deliverEager moves a matched eager payload into the receive buffer and
+// completes the request. It owns payload and releases it once unpacked.
+// Runs in engine or process context.
 func (r *Rank) deliverEager(q *Request, from, tag, size int, payload []byte) {
 	q.setMatched(from, tag, size)
 	if size == 0 {
@@ -484,7 +503,7 @@ func (r *Rank) deliverEager(q *Request, from, tag, size int, payload []byte) {
 		return
 	}
 	if q.buf.IsDevice() {
-		r.transport().DeliverFromHost(q, append([]byte(nil), payload...))
+		r.transport().DeliverFromHost(q, payload)
 		return
 	}
 	if size%q.dt.Size() != 0 {
@@ -492,10 +511,10 @@ func (r *Rank) deliverEager(q *Request, from, tag, size int, payload []byte) {
 			r.rank, size, q.dt.Size()))
 	}
 	elems := size / q.dt.Size()
-	data := append([]byte(nil), payload...)
 	// The scatter costs host copy time; completion is deferred by it.
 	r.w.e.CallAfter(r.hostPackCost(q.dt, elems), func() {
-		q.dt.UnpackBytes(q.buf, data, elems)
+		q.dt.UnpackBytes(q.buf, payload, elems)
+		r.hca.Buffers().Put(payload)
 		q.CompleteRecv()
 	})
 }

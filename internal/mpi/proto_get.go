@@ -102,9 +102,9 @@ func (r *Rank) recvHostGet(p *sim.Proc, q *Request) {
 }
 
 // recvDeviceGet serves a get-RTS whose receive buffer lives in device
-// memory: pull into pinned host staging, then hand the packed bytes to the
-// GPU transport's delivery path (which unpacks on the device and
-// completes the request).
+// memory: pull into pinned host staging, then hand the packed bytes, in a
+// recycled buffer, to the GPU transport's delivery path (which unpacks on
+// the device, completes the request and releases the buffer).
 func (r *Rank) recvDeviceGet(p *sim.Proc, q *Request) {
 	size := q.matchedSize
 	staging := r.AllocHost(size)
@@ -120,7 +120,8 @@ func (r *Rank) recvDeviceGet(p *sim.Proc, q *Request) {
 	}
 	p.WaitAll(reads...)
 	r.hca.PostSend(q.peer, doneMsg{q.peerID}, nil)
-	packed := append([]byte(nil), staging.Bytes(size)...)
+	packed := r.hca.Buffers().Get(size)
+	copy(packed, staging.Bytes(size))
 	r.FreeHost(staging)
 	r.transport().DeliverFromHost(q, packed)
 }

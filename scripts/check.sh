@@ -61,6 +61,11 @@ stage "fuzz"
 # input is written under internal/datatype/testdata/fuzz for replay.
 out=$(go test -run '^$' -fuzz FuzzChunkPlan -fuzztime 10s ./internal/datatype 2>&1) || {
     echo "$out"; echo "FuzzChunkPlan found a walker that disagrees with the reference"; exit 1; }
+# The HCA's SGE gather/scatter descriptors against the same naive iov
+# walk, gathering into poisoned buffers longer than the range as recycled
+# payload buffers are. Failing inputs land under internal/ib/testdata/fuzz.
+out=$(go test -run '^$' -fuzz FuzzSGDesc -fuzztime 10s ./internal/ib 2>&1) || {
+    echo "$out"; echo "FuzzSGDesc found an SGE walk that disagrees with the reference"; exit 1; }
 
 stage "race-mode benchmark smoke"
 # Each benchmark body runs once under the race detector: catches data
@@ -112,9 +117,12 @@ done
 
 stage "parallel-engine race tests"
 # The cluster-heavy packages again, now with every task body dispatched
-# on the worker pool and the race detector watching the joins.
+# on the worker pool and the race detector watching the joins. ib, mpi and
+# cluster are here because pool workers release payload buffers to the
+# fabric's recycler.
 MV2SIM_ENGINE=parallel go test -race -count=1 \
-    ./internal/core ./internal/halo3d ./internal/transpose ./internal/shoc
+    ./internal/core ./internal/halo3d ./internal/transpose ./internal/shoc \
+    ./internal/ib ./internal/mpi ./internal/cluster
 
 stage "pack-mode gate"
 # -packmode memcpy2d must reproduce the pre-PackMode pipeline byte for
