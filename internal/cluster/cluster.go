@@ -74,10 +74,6 @@ type Config struct {
 	// zero-allocation fast path. A core.PipelineTrace listed here renders
 	// the per-chunk stage table (the paper's Figure 3).
 	Tracers []obs.Tracer
-	// TraceEngine additionally records every simulation process's lifetime
-	// and counts fired events via an obs.EngineTracer hook. Verbose; only
-	// meaningful when Tracers is non-empty.
-	TraceEngine bool
 }
 
 func (c Config) withDefaults() Config {
@@ -152,9 +148,6 @@ func New(cfg Config) *Cluster {
 		cl.Obs = obs.NewHub(e, cfg.Tracers...)
 		fabric.SetHub(cl.Obs)
 		world.SetHub(cl.Obs)
-		if cfg.TraceEngine {
-			e.SetHook(obs.NewEngineTracer(cl.Obs))
-		}
 	}
 
 	if !cfg.NoGPU {

@@ -11,7 +11,7 @@ import (
 // Blocking operations (Stream.Synchronize, Event.Synchronize, Ctx.Memcpy/
 // Memcpy2D/Memset, Proc.Wait/WaitAll/Sleep/Yield, Resource.Acquire,
 // Queue.Get) hand the cooperative baton back to the engine; they may only
-// run inside a *sim.Proc goroutine. The analyzer reports a call when
+// run inside a *sim.Proc body. The analyzer reports a call when
 //
 //   - the *sim.Proc argument is a nil literal (the async-issue convention
 //     permits nil only for non-blocking calls), or

@@ -48,7 +48,6 @@ func (ev *Event) Trigger() {
 	}
 	ev.fired = true
 	ev.firedAt = ev.e.now
-	ev.e.trace("event %s: fired", ev.name)
 	if ev.e.hook != nil {
 		ev.e.hook.EventFired(ev.e.now, ev.name)
 	}
@@ -80,7 +79,7 @@ func (p *Proc) Wait(ev *Event) {
 		return
 	}
 	ev.waiters = append(ev.waiters, p)
-	p.block("wait " + ev.name)
+	p.block(blockWait, ev)
 }
 
 // WaitAll blocks until every listed event has fired.

@@ -11,7 +11,7 @@ import (
 // work such as DMA payload copies and pack/unpack kernel bodies — start
 // on a GOMAXPROCS-sized pool the moment they are scheduled and are joined
 // (WaitGroup barrier) when the dispatch loop reaches their (time, seq)
-// slot. Scheduling decisions, clock advancement, tracer/hook output and
+// slot. Scheduling decisions, clock advancement, hook output and
 // therefore every trace byte are identical to the serial engine; only the
 // wall-clock placement of the memory work moves.
 //
@@ -86,8 +86,8 @@ func (e *ParallelEngine) worker() {
 	}
 }
 
-// Shutdown stops the pool workers and then terminates parked process
-// goroutines exactly like the serial engine's Shutdown. Idempotent; must
+// Shutdown stops the pool workers and then unwinds parked processes
+// exactly like the serial engine's Shutdown. Idempotent; must
 // only be called after Run/RunUntil has returned, at which point the
 // inflight barrier guarantees the pending queue is empty.
 func (e *ParallelEngine) Shutdown() {

@@ -10,8 +10,8 @@ import (
 // processes. It returns the finish time and dispatched-event count so
 // concurrent runs can be checked for determinism.
 //
-// Every baton handoff in here crosses the channel pair between the engine
-// goroutine (Run) and a process goroutine (the Spawn closure), which is
+// Every baton handoff in here is a coroutine switch between the engine
+// goroutine (Run) and a process coroutine (the Spawn closure), which is
 // exactly the boundary the race detector must see happens-before edges on.
 func workload(t *testing.T) (Time, uint64) {
 	t.Helper()
@@ -61,7 +61,7 @@ func workload(t *testing.T) (Time, uint64) {
 		t.Errorf("workload: %v", err)
 	}
 	now, events := e.Now(), e.Events()
-	e.Shutdown() // terminates the still-blocked daemon goroutine
+	e.Shutdown() // unwinds the still-blocked daemon's coroutine
 	return now, events
 }
 
@@ -90,9 +90,9 @@ func TestRaceConcurrentEngines(t *testing.T) {
 	}
 }
 
-// TestRaceHandoffStress bounces the baton across many process goroutines
+// TestRaceHandoffStress bounces the baton across many process coroutines
 // in one engine: a ring of processes each relaying a token through a
-// queue. The engine goroutine and every process goroutine take turns on
+// queue. The engine goroutine and every process coroutine take turns on
 // the shared scheduler state, so any missing synchronization in the
 // resume/yield handoff shows up under -race.
 func TestRaceHandoffStress(t *testing.T) {

@@ -8,12 +8,17 @@
 // execute off the dispatch goroutine as long as the bytes are in place when
 // the task's slot in (time, seq) order is reached.
 //
-// Processes are ordinary goroutines wrapped by Proc. Exactly one process
-// (or the engine itself) executes at any instant; control is transferred
-// explicitly when a process blocks in Sleep, Wait, or a resource/queue
-// operation. This cooperative single-executor discipline makes the whole
-// simulation race-free and fully deterministic: the same program produces
-// the same event trace on every run.
+// Processes (Proc) run on coroutines. A coroutine switch is a direct
+// transfer of the running thread from one goroutine to another inside the
+// Go runtime (iter.Pull's next and yield): it never passes through the Go
+// scheduler, so exactly one process (or the engine itself) executes at any
+// instant by construction. Control is transferred explicitly when a
+// process blocks in Sleep, Wait, or a resource/queue operation. This
+// cooperative single-executor discipline makes the whole simulation
+// race-free and fully deterministic: the same program produces the same
+// event trace on every run. Coroutines outlive their processes and are
+// reused, so their number is bounded by the peak number of running
+// processes, not by the number spawned.
 //
 // Two engines implement the Engine interface: the default SerialEngine
 // (New) runs everything, tasks included, on the dispatch goroutine; the
@@ -29,7 +34,6 @@ package sim
 import (
 	"container/heap"
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 )
@@ -154,11 +158,9 @@ type Engine interface {
 	NewResource(name string, capacity int) *Resource
 	// AllOf returns an event that fires once all inputs have fired.
 	AllOf(name string, evs ...*Event) *Event
-	// SetTracer installs a trace sink for process lifecycle events.
-	SetTracer(fn func(t Time, msg string))
 	// SetHook installs a structured lifecycle observer.
 	SetHook(h Hook)
-	// Shutdown terminates every parked goroutine; see SerialEngine docs.
+	// Shutdown ends every parked process and coroutine; see SerialEngine docs.
 	Shutdown()
 
 	core() *engineCore
@@ -186,30 +188,24 @@ type engineCore struct {
 	now     Time
 	seq     uint64
 	heap    itemHeap
-	free    []*item       // recycled items, engine-goroutine only
-	cur     *Proc         // process currently holding the baton, nil in engine context
-	yield   chan struct{} // signalled by a process when it blocks or finishes
-	nlive   int           // spawned processes that have not finished
-	blocked map[*Proc]string
-	nevents uint64 // dispatched item count, for stats and runaway guards
+	free    []*item // recycled items, engine-goroutine only
+	nlive   int     // non-daemon processes spawned and not yet finished
+	nevents uint64  // dispatched item count, for stats and runaway guards
 
-	shutdown     chan struct{}
-	shutdownDone bool
+	coros []*coro // every coroutine started, for Shutdown and deadlock reports
+	idle  []*coro // coroutines whose process finished, ready for the next
 
-	tracer func(t Time, msg string)
-	hook   Hook
+	hook Hook
 
 	self     Engine         // the concrete engine embedding this core
 	launch   func(it *item) // set by ParallelEngine: start a task off-goroutine
 	inflight sync.WaitGroup // launched tasks not yet finished
-	goros    sync.WaitGroup // process + pool goroutines not yet exited
+	goros    sync.WaitGroup // pool worker goroutines not yet exited
 }
 
-// Hook observes engine lifecycle events with structured callbacks, the
-// machine-readable counterpart of SetTracer's formatted strings. All
+// Hook observes engine lifecycle events with structured callbacks. All
 // callbacks run in simulation order while the caller holds the baton, so
-// implementations need no locking. internal/obs provides an adapter that
-// turns these into trace tasks.
+// implementations need no locking.
 type Hook interface {
 	// ProcStart fires when a spawned process begins executing.
 	ProcStart(t Time, name string)
@@ -233,39 +229,34 @@ func New() *SerialEngine {
 	return e
 }
 
-// init wires the core's channels and back-reference to the concrete engine.
+// init wires the core's back-reference to the concrete engine.
 func (e *engineCore) init(self Engine) {
-	e.yield = make(chan struct{})
-	e.blocked = map[*Proc]string{}
-	e.shutdown = make(chan struct{})
 	e.self = self
 }
 
 // core seals the Engine interface to this package's implementations.
 func (e *engineCore) core() *engineCore { return e }
 
-// Shutdown terminates every process goroutine still blocked in the engine
-// (daemons waiting for work, processes stuck on unfired events). Blocked
-// goroutines otherwise live for the lifetime of the Go program and keep
-// everything they reference — entire simulated memories — reachable, so
-// long-running harnesses that build many engines must call Shutdown when
-// each simulation finishes.
+// Shutdown ends every process still parked in the engine (daemons waiting
+// for work, processes stuck on unfired events or sleeping past a RunUntil
+// limit) and every idle coroutine. Parked coroutines otherwise live for
+// the lifetime of the Go program and keep everything they reference —
+// entire simulated memories — reachable, so long-running harnesses that
+// build many engines must call Shutdown when each simulation finishes.
+//
+// Each parked process is unwound on the caller's goroutine, one after
+// another: its blocking call panics with a private sentinel that the
+// coroutine swallows, so the body's deferred calls run exactly once. A
+// recover() in a process body would swallow the sentinel too; no process
+// body should recover without re-panicking. Every coroutine has exited
+// when Shutdown returns, so the next simulation a harness builds does not
+// race the previous one's stacks for memory.
 //
 // Shutdown must only be called while the engine is not executing (i.e.
 // after Run/RunUntil has returned). It is idempotent. The engine must not
 // be used afterwards.
-//
-// Shutdown joins the goroutines before returning. Without the join, a
-// harness that builds engines back to back races the previous run's
-// dying goroutines: their stacks keep the dead simulation reachable, so
-// the next run's allocation storm fights the collector over gigabytes
-// that are about to be garbage (a 60x wall-clock cliff on a single-CPU
-// host before the join was added).
 func (e *engineCore) Shutdown() {
-	if !e.shutdownDone {
-		e.shutdownDone = true
-		close(e.shutdown)
-	}
+	e.stopCoros()
 	e.goros.Wait()
 }
 
@@ -275,18 +266,8 @@ func (e *engineCore) Now() Time { return e.now }
 // Events returns the number of scheduled items dispatched so far.
 func (e *engineCore) Events() uint64 { return e.nevents }
 
-// SetTracer installs a trace sink invoked for process lifecycle events.
-// Pass nil to disable tracing.
-func (e *engineCore) SetTracer(fn func(t Time, msg string)) { e.tracer = fn }
-
 // SetHook installs a structured lifecycle observer. Pass nil to disable.
 func (e *engineCore) SetHook(h Hook) { e.hook = h }
-
-func (e *engineCore) trace(format string, args ...interface{}) {
-	if e.tracer != nil {
-		e.tracer(e.now, fmt.Sprintf(format, args...))
-	}
-}
 
 // newItem takes an item from the freelist, or allocates the first time.
 // Only the engine goroutine (dispatch loop, or a process holding the
@@ -415,31 +396,31 @@ func (e *engineCore) run(limit Time) error {
 			e.recycle(it)
 		}
 	}
+	if e.nlive == 0 {
+		return nil
+	}
 	var msgs []string
-	for p, why := range e.blocked {
-		if !p.daemon {
-			msgs = append(msgs, p.name+": "+why)
+	for _, c := range e.coros {
+		if p := c.proc; p != nil && !p.daemon {
+			msgs = append(msgs, p.name+": "+p.blockReason())
 		}
 	}
-	if len(msgs) > 0 {
-		sort.Strings(msgs)
-		return &DeadlockError{At: e.now, Blocked: msgs}
-	}
-	return nil
+	sort.Strings(msgs)
+	return &DeadlockError{At: e.now, Blocked: msgs}
 }
 
-// runProc hands the baton to p and waits for it to yield it back.
-// A panic inside the process is re-raised here, in the Run caller's
-// goroutine, so it is observable and recoverable like any ordinary panic.
+// runProc hands the baton to p and returns when p blocks or finishes. The
+// first resume binds p to a coroutine. A panic inside the process is
+// re-raised here, in the Run caller's goroutine, so it is observable and
+// recoverable like any ordinary panic.
 func (e *engineCore) runProc(p *Proc) {
 	if p.done {
 		panic("sim: resuming finished process " + p.name)
 	}
-	prev := e.cur
-	e.cur = p
-	p.resume <- struct{}{}
-	<-e.yield
-	e.cur = prev
+	if p.co == nil {
+		e.bind(p)
+	}
+	p.co.next()
 	if p.panicked != nil {
 		pv := p.panicked
 		p.panicked = nil
@@ -447,16 +428,40 @@ func (e *engineCore) runProc(p *Proc) {
 	}
 }
 
-// Proc is a cooperative simulated process. Procs are created with Spawn and
-// must only call blocking operations (Sleep, Wait, Resource.Acquire, ...)
-// from their own goroutine while they hold the baton.
+// Proc is a cooperative simulated process. Procs are created with Spawn
+// and run on a coroutine borrowed from the engine; they must only call
+// blocking operations (Sleep, Wait, Resource.Acquire, ...) from their own
+// body while they hold the baton.
 type Proc struct {
 	e        *engineCore
 	name     string
-	resume   chan struct{}
+	fn       func(p *Proc) // the body; nil once it has finished
+	co       *coro         // bound from the first resume until the body ends
+	why      blockKind     // what the process last blocked on
+	on       *Event        // the event it waits on, for blockWait
 	done     bool
 	daemon   bool
-	panicked interface{} // panic value captured from the process goroutine
+	panicked interface{} // panic value captured from the process body
+}
+
+// blockKind names what a parked process waits for, for deadlock reports.
+type blockKind uint8
+
+const (
+	blockSleep blockKind = iota
+	blockYield
+	blockWait
+)
+
+// blockReason renders the deadlock-report reason for a parked process.
+func (p *Proc) blockReason() string {
+	switch p.why {
+	case blockSleep:
+		return "sleep"
+	case blockYield:
+		return "yield"
+	}
+	return "wait " + p.on.name
 }
 
 // Name returns the process name given at Spawn.
@@ -479,65 +484,58 @@ func (e *engineCore) Spawn(name string, fn func(p *Proc)) *Proc {
 // ordinary processes all finish terminates cleanly even while daemons
 // (e.g. CUDA stream workers, NIC service loops) still wait for work.
 func (e *engineCore) SpawnDaemon(name string, fn func(p *Proc)) *Proc {
-	p := e.SpawnAt(e.now, name, fn)
-	p.daemon = true
-	return p
+	return e.spawn(e.now, name, fn, true)
 }
 
 // SpawnAt creates a process starting at absolute time t.
 func (e *engineCore) SpawnAt(t Time, name string, fn func(p *Proc)) *Proc {
-	p := &Proc{e: e, name: name, resume: make(chan struct{})}
-	e.nlive++
-	e.goros.Add(1)
-	//lint:ignore detrand this goroutine IS the engine's process implementation: it baton-passes with the dispatcher (exactly one goroutine runs at a time, handed off via resume channels), so the Go scheduler never picks an interleaving
-	go func() {
-		defer e.goros.Done() // runs on normal return and on Goexit at Shutdown
-		p.awaitResume()      // wait for first dispatch
-		e.trace("proc %s: start", p.name)
-		if e.hook != nil {
-			e.hook.ProcStart(e.now, p.name)
-		}
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					p.panicked = r
-				}
-			}()
-			fn(p)
-		}()
-		e.trace("proc %s: done", p.name)
-		if e.hook != nil {
-			e.hook.ProcEnd(e.now, p.name)
-		}
-		p.done = true
-		e.nlive--
-		e.yield <- struct{}{}
-	}()
-	it := e.newItem()
-	it.kind = kindResume
-	it.proc = p
-	e.schedule(t, it)
+	return e.spawn(t, name, fn, false)
+}
+
+func (e *engineCore) spawn(t Time, name string, fn func(p *Proc), daemon bool) *Proc {
+	p := &Proc{e: e, name: name, fn: fn, daemon: daemon}
+	if !daemon {
+		e.nlive++
+	}
+	p.scheduleResume(t)
 	return p
 }
 
-// block releases the baton and waits until the engine resumes this process.
-// reason is recorded for deadlock diagnostics.
-func (p *Proc) block(reason string) {
-	p.e.blocked[p] = reason
-	p.e.yield <- struct{}{}
-	p.awaitResume()
-	delete(p.e.blocked, p)
+// run executes the process body on its coroutine and reports whether
+// Shutdown unwound it.
+func (p *Proc) run() (stopped bool) {
+	e := p.e
+	if e.hook != nil {
+		e.hook.ProcStart(e.now, p.name)
+	}
+	func() {
+		defer func() {
+			if r := recover(); r != nil {
+				p.panicked = r
+			}
+		}()
+		p.fn(p)
+	}()
+	if _, ok := p.panicked.(stopSignal); ok {
+		return true
+	}
+	if e.hook != nil {
+		e.hook.ProcEnd(e.now, p.name)
+	}
+	p.done = true
+	p.fn = nil
+	if !p.daemon {
+		e.nlive--
+	}
+	return false
 }
 
-// awaitResume parks the goroutine until the engine hands it the baton —
-// or until Shutdown, in which case the goroutine exits so it stops
-// retaining the simulation's memory.
-func (p *Proc) awaitResume() {
-	select {
-	case <-p.resume:
-	case <-p.e.shutdown:
-		runtime.Goexit()
-	}
+// block releases the baton and returns when the engine resumes this
+// process. why and on are kept for deadlock diagnostics.
+func (p *Proc) block(why blockKind, on *Event) {
+	p.why, p.on = why, on
+	p.co.suspend()
+	p.on = nil
 }
 
 // scheduleResume queues a wake-up for p at absolute time t.
@@ -554,12 +552,12 @@ func (p *Proc) Sleep(d Time) {
 		panic("sim: negative sleep")
 	}
 	p.scheduleResume(p.e.now + d)
-	p.block("sleep")
+	p.block(blockSleep, nil)
 }
 
 // Yield reschedules the process at the current instant, letting other items
 // queued for the same time run first.
 func (p *Proc) Yield() {
 	p.scheduleResume(p.e.now)
-	p.block("yield")
+	p.block(blockYield, nil)
 }

@@ -515,19 +515,6 @@ func TestSpawnAt(t *testing.T) {
 	}
 }
 
-func TestTracer(t *testing.T) {
-	e := New()
-	var lines []string
-	e.SetTracer(func(tm Time, msg string) { lines = append(lines, msg) })
-	e.Spawn("p", func(p *Proc) {})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(lines) < 2 {
-		t.Errorf("trace lines = %v", lines)
-	}
-}
-
 func TestEventString(t *testing.T) {
 	e := New()
 	ev := e.NewEvent("x")
